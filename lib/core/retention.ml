@@ -1,5 +1,4 @@
 module Lsn = Rw_storage.Lsn
-module Log_record = Rw_wal.Log_record
 module Log_manager = Rw_wal.Log_manager
 
 type t = {
@@ -27,26 +26,22 @@ let floor_lsn t =
       | Some l -> ( match acc with None -> Some l | Some a -> Some (Lsn.min a l)))
     None t.floors
 
-let checkpoint_wall log lsn =
-  match (Log_manager.read_nocost log lsn).Log_record.body with
-  | Log_record.Checkpoint { wall_us; _ } -> wall_us
-  | _ -> invalid_arg "Retention: not a checkpoint record"
-
 let cutoff t ~log ~now_us =
   match t.retention_us with
   | None -> None
   | Some retention ->
       let horizon = now_us -. retention in
-      (* Checkpoints, newest first.  We need the newest checkpoint whose
-         wall time is at or before the horizon — and we keep one more
-         checkpoint of history below it so transactions spanning the
-         boundary can still be rolled back. *)
-      let rec go = function
-        | newer :: older :: _ when checkpoint_wall log newer <= horizon -> Some older
-        | _ :: rest -> go rest
-        | [] -> None
+      (* We need the newest checkpoint whose wall time is at or before the
+         horizon — and we keep one more checkpoint of history below it so
+         transactions spanning the boundary can still be rolled back. *)
+      let cut =
+        match Log_manager.checkpoint_at_or_before log ~wall_us:horizon with
+        | Some newer -> (
+            match Log_manager.checkpoints_before log (Lsn.of_int (Lsn.to_int newer - 1)) with
+            | older :: _ -> Some older
+            | [] -> None)
+        | None -> None
       in
-      let cut = go (Log_manager.checkpoints_before log (Log_manager.end_lsn log)) in
       match (cut, floor_lsn t) with
       | Some c, Some f -> Some (Lsn.min c f)
       | other, None -> other

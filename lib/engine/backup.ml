@@ -131,12 +131,12 @@ let restore_as_of t ~from ~wall_us =
   (* 3. Roll back transactions in flight at the split so the copy is
      transactionally consistent (same as point-in-time restore). *)
   (* Loser analysis is bounded by the last checkpoint before the split,
-     exactly as in restart recovery. *)
-  let analysis_start =
-    if Lsn.is_nil split.Split_lsn.base_checkpoint then t.taken_at_lsn
-    else split.Split_lsn.base_checkpoint
+     exactly as in restart recovery: it starts from the log manager's
+     newest analysis anchor past that checkpoint. *)
+  let losers =
+    (Recovery.in_flight_at ~log ~base:split.Split_lsn.base_checkpoint ~split:split_lsn)
+      .Recovery.if_losers
   in
-  let analysis = Recovery.analyze ~log ~start:analysis_start ~upto:split_lsn in
   let apply pid f =
     let frame = Buffer_pool.fetch pool pid in
     Fun.protect
@@ -150,7 +150,7 @@ let restore_as_of t ~from ~wall_us =
                 Buffer_pool.mark_dirty pool frame ~lsn
             | None -> Buffer_pool.mark_dirty pool frame ~lsn:split_lsn))
   in
-  ignore (Recovery.undo_losers ~log ~losers:analysis.Recovery.losers ~write_clr:false ~apply);
+  ignore (Recovery.undo_losers ~log ~losers ~write_clr:false ~apply);
   Buffer_pool.flush_all pool;
   Database.view_over_pool
     ~name:(Printf.sprintf "%s_restored" t.source)

@@ -24,15 +24,18 @@ let estimate_rewind ~db ~split ~pages_hint =
   let span_bytes =
     max 0 (Lsn.to_int (Log_manager.end_lsn log) - Lsn.to_int split.Split_lsn.split_lsn)
   in
-  (* Creation: one analysis scan bounded by the nearest checkpoint, plus
-     the checkpoint flush; approximate the latter with the current dirty
-     set. *)
+  (* Creation: the analysis tail scan from the newest analysis anchor
+     past the base checkpoint to the split — at most about one log block,
+     whatever the checkpoint interval — plus the checkpoint flush;
+     approximate the latter with the current dirty set. *)
   let analysis_bytes =
-    let base =
-      if Lsn.is_nil split.Split_lsn.base_checkpoint then Log_manager.first_lsn log
-      else split.Split_lsn.base_checkpoint
+    let base = split.Split_lsn.base_checkpoint and upto = split.Split_lsn.split_lsn in
+    let from =
+      match Log_manager.analysis_anchor log ~upto with
+      | Some (pos, _) -> Lsn.max pos base
+      | None -> Log_manager.first_lsn log
     in
-    max 0 (Lsn.to_int split.Split_lsn.split_lsn - Lsn.to_int base)
+    max 0 (Lsn.to_int upto - Lsn.to_int from)
   in
   let dirty = List.length (Rw_buffer.Buffer_pool.dirty_page_table (Database.pool db)) in
   let creation_s =

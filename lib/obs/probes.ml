@@ -108,6 +108,11 @@ let snapshot_pages_materialized =
   counter ~unit_:"pages" ~help:"Past page versions materialised into side files"
     "snapshot.pages_materialized"
 
+let snapshot_analysis_records =
+  counter ~unit_:"records"
+    ~help:"Log records scanned by snapshot-creation analysis (anchor to SplitLSN)"
+    "snapshot.analysis_records"
+
 let snapshot_side_hits =
   counter ~unit_:"reads" ~help:"Snapshot reads served from the sparse side file"
     "snapshot.side_file_hits"

@@ -58,6 +58,7 @@ val pool_wakes : Metrics.counter
 
 val snapshot_creates : Metrics.counter
 val snapshot_pages_materialized : Metrics.counter
+val snapshot_analysis_records : Metrics.counter
 val snapshot_side_hits : Metrics.counter
 val snapshots_live : Metrics.gauge
 val snapshot_shared_hits : Metrics.counter

@@ -4,6 +4,7 @@ module Page_id = Rw_storage.Page_id
 module Txn_id = Rw_wal.Txn_id
 module Log_record = Rw_wal.Log_record
 module Log_manager = Rw_wal.Log_manager
+module Live_txns = Rw_wal.Live_txns
 module Buffer_pool = Rw_buffer.Buffer_pool
 module Latch = Rw_buffer.Latch
 module Txn_manager = Rw_txn.Txn_manager
@@ -47,11 +48,12 @@ type analysis = {
    once up front (through the record LRU, so repeated analyses for snapshot
    creation and restart reuse the decode); any later checkpoints inside the
    range use the on-demand thunk.  Everything else is peeked, so the scan
-   never allocates row payloads. *)
+   never allocates row payloads.  The loser table is the per-record
+   [Live_txns.step] transition — the same one the log manager folds into
+   its analysis anchors — with checkpoints inside the range merged in. *)
 let analyze ~log ~start ~upto =
-  let losers = Hashtbl.create 16 in
+  let live = Live_txns.thaw Live_txns.empty in
   let dirty_pages = Hashtbl.create 64 in
-  let txn_pages = Hashtbl.create 16 in
   let max_txn = ref Txn_id.nil in
   let scanned = ref 0 in
   let see_txn txn = if Txn_id.compare txn !max_txn > 0 then max_txn := txn in
@@ -59,30 +61,18 @@ let analyze ~log ~start ~upto =
     let k = Page_id.to_int page in
     if not (Hashtbl.mem dirty_pages k) then Hashtbl.replace dirty_pages k lsn
   in
-  let note_txn_page txn page =
-    let pages =
-      match Hashtbl.find_opt txn_pages txn with
-      | Some h -> h
-      | None ->
-          let h = Hashtbl.create 8 in
-          Hashtbl.replace txn_pages txn h;
-          h
-    in
-    Hashtbl.replace pages (Page_id.to_int page) ()
-  in
   let seed_checkpoint r =
     match r.Log_record.body with
     | Log_record.Checkpoint { active_txns; dirty_pages = dpt; _ } ->
-        List.iter
-          (fun (t, last) ->
-            see_txn t;
-            if not (Hashtbl.mem losers t) then Hashtbl.replace losers t last)
-          active_txns;
+        List.iter (fun (t, _) -> see_txn t) active_txns;
+        Live_txns.seed live active_txns;
         List.iter (fun (page, rec_lsn) -> see_page page rec_lsn) dpt
     | _ -> assert false
   in
+  (* A range starting at a checkpoint is seeded from it even when empty:
+     the transactions it lists are in flight at its position. *)
   let scan_from =
-    if Lsn.(start >= upto) || not (Log_manager.mem log start) then start
+    if not (Log_manager.mem log start) then start
     else
       let pk = Log_manager.peek_record log start in
       match pk.Log_record.p_kind with
@@ -94,33 +84,64 @@ let analyze ~log ~start ~upto =
   in
   Log_manager.iter_range_peek log ~from:scan_from ~upto (fun lsn pk decode ->
       incr scanned;
-      let txn = pk.Log_record.p_txn in
-      see_txn txn;
-      match pk.Log_record.p_kind with
+      see_txn pk.Log_record.p_txn;
+      (match pk.Log_record.p_kind with
       | Log_record.K_checkpoint -> seed_checkpoint (decode ())
-      | Log_record.K_begin -> Hashtbl.replace losers txn lsn
-      | Log_record.K_commit | Log_record.K_end -> Hashtbl.remove losers txn
-      | Log_record.K_abort -> if Hashtbl.mem losers txn then Hashtbl.replace losers txn lsn
-      | Log_record.K_page_op _ | Log_record.K_clr _ ->
-          if not (Txn_id.is_nil txn) then begin
-            Hashtbl.replace losers txn lsn;
-            note_txn_page txn pk.Log_record.p_page
-          end;
-          see_page pk.Log_record.p_page lsn);
+      | _ -> Live_txns.step live lsn pk);
+      if Log_record.is_page_kind pk.Log_record.p_kind then see_page pk.Log_record.p_page lsn);
   let redo_start =
     Hashtbl.fold (fun _ rec_lsn acc -> Lsn.min rec_lsn acc) dirty_pages upto
   in
-  { losers; dirty_pages; txn_pages; redo_start; max_txn_id = !max_txn; records_scanned = !scanned }
+  {
+    losers = Live_txns.losers live;
+    dirty_pages;
+    txn_pages = Live_txns.pages live;
+    redo_start;
+    max_txn_id = !max_txn;
+    records_scanned = !scanned;
+  }
 
-let loser_pages analysis =
-  let seen = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun txn _ ->
-      match Hashtbl.find_opt analysis.txn_pages txn with
-      | Some pages -> Hashtbl.iter (fun p () -> Hashtbl.replace seen p ()) pages
-      | None -> ())
-    analysis.losers;
-  Hashtbl.fold (fun p () acc -> Page_id.of_int p :: acc) seen []
+type in_flight = {
+  if_losers : (Txn_id.t, Lsn.t) Hashtbl.t;
+  if_pages : Page_id.t list;
+  if_from : Lsn.t;
+  if_scanned : int;
+}
+
+(* Snapshot analysis without the scan from the base checkpoint: no
+   checkpoint lies between [base] and [split] (see [Rw_core.Split_lsn]),
+   so the newest anchor past [base] holds exactly the state that scan
+   would have reached at the anchor, and only the records from the anchor
+   to the split are read.  When [split] is [base] itself, the checkpoint's
+   own anchor (just past it, no records between) answers. *)
+let in_flight_at ~log ~base ~split =
+  let horizon =
+    if Lsn.is_nil base then split else Lsn.max split (Log_manager.next_lsn_after log base)
+  in
+  let from, live =
+    match Log_manager.analysis_anchor log ~upto:horizon with
+    | Some (pos, st) when Lsn.(pos > base) -> (pos, Live_txns.thaw st)
+    | _ when Lsn.is_nil base ->
+        (* An empty log: nothing is in flight. *)
+        (Log_manager.first_lsn log, Live_txns.thaw Live_txns.empty)
+    | _ -> invalid_arg "Recovery.in_flight_at: no analysis anchor past the base checkpoint"
+  in
+  let scanned = ref 0 in
+  Log_manager.iter_range_peek log ~from ~upto:split (fun lsn pk decode ->
+      incr scanned;
+      match pk.Log_record.p_kind with
+      | Log_record.K_checkpoint -> (
+          match (decode ()).Log_record.body with
+          | Log_record.Checkpoint { active_txns; _ } -> Live_txns.restart live active_txns
+          | _ -> ())
+      | _ -> Live_txns.step live lsn pk);
+  Obs.add Probes.snapshot_analysis_records !scanned;
+  {
+    if_losers = Live_txns.losers live;
+    if_pages = Live_txns.loser_pages live;
+    if_from = from;
+    if_scanned = !scanned;
+  }
 
 let redo_pass ~log ~pool ~analysis ~upto =
   let redone = ref 0 in
@@ -176,7 +197,6 @@ let redo_pass ~log ~pool ~analysis ~upto =
    partitioned layout pays them per page per batch. *)
 module Domain_pool = Rw_pool.Domain_pool
 
-let set_redo_fanout cap = Domain_pool.set_fanout cap
 let effective_fanout domains = Domain_pool.effective_fanout domains
 
 (* One gathered redo record: ops stay decoded when the apply runs on the

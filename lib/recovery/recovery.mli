@@ -31,7 +31,7 @@ type analysis = {
   dirty_pages : (int, Rw_storage.Lsn.t) Hashtbl.t;
       (** page id -> recovery LSN *)
   txn_pages : (Rw_wal.Txn_id.t, (int, unit) Hashtbl.t) Hashtbl.t;
-      (** pages each transaction touched within the scanned region *)
+      (** pages each in-flight transaction touched within the scanned region *)
   redo_start : Rw_storage.Lsn.t;
   max_txn_id : Rw_wal.Txn_id.t;
   records_scanned : int;
@@ -42,12 +42,29 @@ val analyze :
 (** Scan forward from [start] (normally the master checkpoint; its record
     seeds the tables, decoded once up front through the record LRU so
     repeated analyses skip the decode) up to, excluding, [upto].  The scan
-    is header-only (peek-based); only checkpoint records are decoded. *)
+    is header-only (peek-based); only checkpoint records are decoded.  The
+    loser table follows {!Rw_wal.Live_txns.step}, the transition the log
+    manager's analysis anchors use; a checkpoint inside the range merges
+    its active transactions in. *)
 
-val loser_pages : analysis -> Rw_storage.Page_id.t list
-(** Distinct pages touched by surviving losers within the scanned region —
-    the advisory work-list for batched loser undo (pages a loser touched
-    before [start] are simply absent; undo reads them individually). *)
+type in_flight = {
+  if_losers : (Rw_wal.Txn_id.t, Rw_storage.Lsn.t) Hashtbl.t;
+      (** transactions in flight at the split, with last LSN *)
+  if_pages : Rw_storage.Page_id.t list;
+      (** pages they touched since the base checkpoint, ascending *)
+  if_from : Rw_storage.Lsn.t;  (** where the tail scan started (an anchor) *)
+  if_scanned : int;  (** records the tail scan read *)
+}
+
+val in_flight_at :
+  log:Rw_wal.Log_manager.t -> base:Rw_storage.Lsn.t -> split:Rw_storage.Lsn.t -> in_flight
+(** Snapshot-creation analysis: the losers and loser pages of
+    [analyze ~start:base ~upto:split] (from the log head when [base] is
+    nil), computed from the newest analysis anchor past [base] plus a
+    priced scan of the records from it to [split] — at most about one log
+    block.  Requires that no checkpoint lie strictly between [base] and
+    [split], which [Rw_core.Split_lsn.find] guarantees.  Adds the records
+    read to the [snapshot.analysis_records] counter. *)
 
 type stats = {
   analysis : analysis;
@@ -89,7 +106,7 @@ val recover :
     partitions are disjoint by construction, so the resulting pages are
     byte-identical to the sequential pass.  The number of domains actually
     running concurrently is capped at {!Domain.recommended_domain_count}
-    (see {!set_redo_fanout}); the partition count — and therefore the
+    (override: [Rw_pool.Domain_pool.set_fanout]); the partition count — and therefore the
     result — is not affected by the cap.  [now_us] (normally the simulated
     clock) stamps the timing fields of {!stats}. *)
 
@@ -123,20 +140,6 @@ val recover_redo_only :
     on the pages; reads go through as-of snapshots (snapshot-local loser
     undo) and the resumed catch-up stream delivers their outcomes.
     [stats.undone_ops]/[ended_losers] are always 0. *)
-
-val set_redo_fanout : int option -> unit
-(** Override the concurrent-worker cap used by parallel redo: [Some n]
-    runs at most [n] domains (including the caller), [None] (the default)
-    uses [Domain.recommended_domain_count ()].  Partition assignment is
-    round-robin over the fan-out, so results are identical under any cap;
-    tests use [Some n] to force true cross-domain execution on small
-    hosts.
-
-    @deprecated The worker pool is shared engine-wide now; this is a
-    thin alias for [Rw_pool.Domain_pool.set_fanout] kept so existing
-    callers and the [\recovery] docs stay valid.  Note the cap it sets
-    is {e global} — it also bounds snapshot batch rewind and the scrub
-    sweep.  New code should call [Domain_pool.set_fanout] directly. *)
 
 val undo_losers :
   log:Rw_wal.Log_manager.t ->

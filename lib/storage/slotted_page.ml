@@ -31,13 +31,15 @@ let check_index p ~at ~for_insert =
     invalid_arg
       (Printf.sprintf "Slotted_page: index %d out of bounds (count %d)" at n)
 
-(* Compaction scratch: one reused page-sized buffer instead of one
-   allocation per live record.  The simulator is single-threaded, so a
-   single module-level buffer is safe. *)
-let compact_scratch = Bytes.create Page.page_size
+(* Compaction scratch: one reused page-sized buffer per domain instead
+   of one allocation per live record.  Per domain because pages are
+   compacted on worker domains too (partition-parallel redo applies
+   inserts on the shared domain pool). *)
+let compact_scratch = Domain.DLS.new_key (fun () -> Bytes.create Page.page_size)
 
 let compact p =
   let n = count p in
+  let compact_scratch = Domain.DLS.get compact_scratch in
   (* Snapshot the page, then lay the live records back down from the page
      end, reading from the unmodified copy. *)
   Bytes.blit p 0 compact_scratch 0 Page.page_size;

@@ -10,6 +10,23 @@ exception No_such_record of Lsn.t
 (* Growable sorted array: one page's chain record LSNs, ascending. *)
 type chain = { mutable arr : Lsn.t array; mutable len : int }
 
+(* Growable timestamp directory of one record kind (commits or
+   checkpoints) within a segment: LSN and wall time per record,
+   ascending by LSN, plus the running maximum of the wall times
+   over the log up to and including each entry.  [st_base_max] is the
+   running maximum just before the segment's first entry, so the
+   predecessor of any entry is known even after older segments drop.
+   Within a segment [st_max] is nondecreasing, which is what lets the
+   SplitLSN search binary-search it. *)
+type stamps = {
+  mutable st_lsn : int array;
+  mutable st_wall : float array;
+  mutable st_max : float array;
+  mutable st_len : int;
+  mutable st_base_max : float;
+  mutable st_desc : int; (* entries whose wall is below the running maximum *)
+}
+
 module Fault_plan = Rw_storage.Fault_plan
 module Obs = Rw_obs.Metrics
 module Probes = Rw_obs.Probes
@@ -27,7 +44,7 @@ module Trace = Rw_obs.Trace
    that replaces the old global lsn->index Hashtbl (LSNs are byte
    offsets, so locating a record is a binary search over segments plus a
    binary search within one), and the FPI directory / page-chain index /
-   checkpoint list slices covering the segment's LSN range.  Retention
+   timestamp directory / analysis anchor slices covering the segment's LSN range.  Retention
    can therefore drop a whole sealed segment in O(1), freeing its indexes
    wholesale, instead of filtering global tables record by record. *)
 type segment = {
@@ -48,11 +65,30 @@ type segment = {
   mutable s_resident : bool; (* payload still counted as modeled RAM *)
   s_fpi : (int, Lsn.t list ref) Hashtbl.t; (* page -> descending FPI lsns *)
   s_chains : (int, chain) Hashtbl.t; (* page -> ascending page-record lsns *)
-  mutable s_ckpts : Lsn.t list; (* descending checkpoint lsns *)
+  s_commits : stamps; (* commit records' wall times *)
+  s_ckpts : stamps; (* checkpoint records' wall times *)
+  mutable s_anchor_pos : int array;
+      (* Analysis anchors, ascending positions: anchor [k] is the live-
+         transaction state after every record below [s_anchor_pos.(k)],
+         restarted at the newest checkpoint below it.  One sits at the
+         first record of every log block and one just past every
+         checkpoint record. *)
+  mutable s_anchor_state : Live_txns.t array;
+  mutable s_nanchors : int;
   mutable s_index_bytes : int;
       (* modeled footprint of this segment's index structures; freed
          wholesale when the segment is dropped *)
 }
+
+let mk_stamps () =
+  {
+    st_lsn = [||];
+    st_wall = [||];
+    st_max = [||];
+    st_len = 0;
+    st_base_max = neg_infinity;
+    st_desc = 0;
+  }
 
 let mk_segment ~segment_bytes base =
   {
@@ -67,7 +103,11 @@ let mk_segment ~segment_bytes base =
     s_resident = true;
     s_fpi = Hashtbl.create 8;
     s_chains = Hashtbl.create 16;
-    s_ckpts = [];
+    s_commits = mk_stamps ();
+    s_ckpts = mk_stamps ();
+    s_anchor_pos = [||];
+    s_anchor_state = [||];
+    s_nanchors = 0;
     s_index_bytes = 0;
   }
 
@@ -134,6 +174,11 @@ type t = {
          log; events that drop tail records void it ([txn_index_valid])
          and the next query rebuilds it with one priced scan. *)
   mutable txn_index_valid : bool;
+  mutable live : Live_txns.acc;
+      (* Analysis state at [end_lsn]: the state the next anchor records.
+         Restarted at every checkpoint record; recomputed from the newest
+         surviving anchor when tail records are dropped. *)
+  mutable anchor_pos : int; (* position of the newest anchor; 0 if none *)
 }
 
 let create ~clock ~media ?(cache_blocks = 128) ?(block_bytes = 65536)
@@ -166,6 +211,8 @@ let create ~clock ~media ?(cache_blocks = 128) ?(block_bytes = 65536)
     invalidation_epoch = 0;
     txn_index = Hashtbl.create 64;
     txn_index_valid = true;
+    live = Live_txns.thaw Live_txns.empty;
+    anchor_pos = 0;
   }
 
 let clock t = t.clock
@@ -449,34 +496,148 @@ let chain_upper c v =
   go 0 c.len
 
 (* Modeled index footprint per entry: the record's offset + cache-handle
-   slots, a chain array element, an FPI list cons, a checkpoint cons.
-   Coarse, but it moves with the structures it models and is freed
-   exactly when they are. *)
+   slots, a chain array element, an FPI list cons, a timestamp-directory
+   entry (three array slots), an analysis anchor (its position and state
+   slots plus one map node per live transaction — the states themselves
+   share structure).  Coarse, but it moves with the structures it models
+   and is freed exactly when they are. *)
 let idx_record_bytes = 16
 let idx_chain_bytes = 8
 let idx_fpi_bytes = 24
-let idx_ckpt_bytes = 16
+let idx_stamp_bytes = 24
+let anchor_bytes st = 16 + (24 * Live_txns.cardinal st)
 
-(* Directory maintenance from a header peek — shared by append, restore
-   and crash so no path needs a payload decode to keep the indexes true. *)
-let index_record t seg pk lsn =
+let charge_index t seg bytes =
+  seg.s_index_bytes <- seg.s_index_bytes + bytes;
+  t.index_bytes <- t.index_bytes + bytes
+
+(* ---------- commit/checkpoint timestamp directories ---------- *)
+
+(* Running maximum of the wall times up to the directory's newest entry
+   (the directory selected by [sel]) across the live segments. *)
+let stamps_max t sel =
+  let m = ref neg_infinity and si = ref (t.seg_hi - 1) in
+  while !m = neg_infinity && !si >= t.seg_lo do
+    let d = sel t.segs.(!si) in
+    if d.st_len > 0 then m := d.st_max.(d.st_len - 1);
+    decr si
+  done;
+  !m
+
+let stamps_push t sel seg ~lsn ~wall =
+  let d = sel seg in
+  if d.st_len = 0 then d.st_base_max <- stamps_max t sel;
+  if d.st_len = Array.length d.st_lsn then begin
+    let cap = max 16 (2 * d.st_len) in
+    let grow a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 d.st_len;
+      b
+    in
+    d.st_lsn <- grow d.st_lsn 0;
+    d.st_wall <- grow d.st_wall 0.0;
+    d.st_max <- grow d.st_max 0.0
+  end;
+  let prev = if d.st_len = 0 then d.st_base_max else d.st_max.(d.st_len - 1) in
+  let i = d.st_len in
+  d.st_lsn.(i) <- lsn;
+  d.st_wall.(i) <- wall;
+  d.st_max.(i) <- Float.max prev wall;
+  if wall < prev then d.st_desc <- d.st_desc + 1;
+  d.st_len <- i + 1;
+  charge_index t seg idx_stamp_bytes
+
+(* Removals come newest-first (tail drops), so the target is the last
+   entry; a second removal of the same record is a no-op. *)
+let stamps_pop t sel seg lsn =
+  let d = sel seg in
+  let i = d.st_len - 1 in
+  if i >= 0 && d.st_lsn.(i) = lsn then begin
+    if d.st_wall.(i) < d.st_max.(i) then d.st_desc <- d.st_desc - 1;
+    d.st_len <- i;
+    charge_index t seg (-idx_stamp_bytes)
+  end
+
+let commits s = s.s_commits
+let ckpts s = s.s_ckpts
+
+(* ---------- analysis anchors ---------- *)
+
+let block_of t pos = (pos - 1) / t.block_bytes
+
+let push_anchor t seg pos st =
+  let n = seg.s_nanchors in
+  if n = Array.length seg.s_anchor_pos then begin
+    let cap = max 4 (2 * n) in
+    let p = Array.make cap 0 and a = Array.make cap Live_txns.empty in
+    Array.blit seg.s_anchor_pos 0 p 0 n;
+    Array.blit seg.s_anchor_state 0 a 0 n;
+    seg.s_anchor_pos <- p;
+    seg.s_anchor_state <- a
+  end;
+  seg.s_anchor_pos.(n) <- pos;
+  seg.s_anchor_state.(n) <- st;
+  seg.s_nanchors <- n + 1;
+  t.anchor_pos <- pos;
+  charge_index t seg (anchor_bytes st)
+
+(* Drop the segment's anchors positioned past [li] (they describe state
+   that includes the record at [li]). *)
+let pop_anchors_after t seg li =
+  while seg.s_nanchors > 0 && seg.s_anchor_pos.(seg.s_nanchors - 1) > li do
+    let k = seg.s_nanchors - 1 in
+    charge_index t seg (-anchor_bytes seg.s_anchor_state.(k));
+    seg.s_anchor_state.(k) <- Live_txns.empty;
+    seg.s_nanchors <- k
+  done
+
+(* The anchor transition: a checkpoint restarts the state from its
+   active-transaction table; every other record is one [Live_txns.step]. *)
+let advance_live acc lsn pk record =
+  match pk.Log_record.p_kind with
+  | Log_record.K_checkpoint -> (
+      match (Lazy.force record).Log_record.body with
+      | Log_record.Checkpoint { active_txns; _ } -> Live_txns.restart acc active_txns
+      | _ -> ())
+  | _ -> Live_txns.step acc lsn pk
+
+let wall_of record =
+  match (Lazy.force record).Log_record.body with
+  | Log_record.Commit { wall_us } | Log_record.Checkpoint { wall_us; _ } -> wall_us
+  | _ -> 0.0
+
+(* Directory maintenance from a header peek — shared by every ingestion
+   path so no path needs a payload decode to keep the indexes true.
+   [record] is forced only for commit and checkpoint records (their wall
+   time and active-transaction table): the record in hand on append, a
+   decode of the stored bytes elsewhere. *)
+let index_record t seg pk lsn ~record =
+  let li = Lsn.to_int lsn in
   let add = ref idx_record_bytes in
   (match pk.Log_record.p_kind with
   | Log_record.K_page_op Log_record.K_full_image ->
       push_descending seg.s_fpi (Page_id.to_int pk.Log_record.p_page) lsn;
       add := !add + idx_fpi_bytes
+  | Log_record.K_commit ->
+      stamps_push t commits seg ~lsn:li ~wall:(wall_of record)
   | Log_record.K_checkpoint ->
-      seg.s_ckpts <- lsn :: seg.s_ckpts;
-      add := !add + idx_ckpt_bytes
+      stamps_push t ckpts seg ~lsn:li ~wall:(wall_of record)
   | _ -> ());
   if Log_record.is_page_kind pk.Log_record.p_kind then begin
     chain_push seg.s_chains (Page_id.to_int pk.Log_record.p_page) lsn;
     add := !add + idx_chain_bytes
   end;
-  seg.s_index_bytes <- seg.s_index_bytes + !add;
-  t.index_bytes <- t.index_bytes + !add
+  charge_index t seg !add;
+  if t.anchor_pos = 0 || block_of t li > block_of t t.anchor_pos then
+    push_anchor t seg li (Live_txns.freeze t.live);
+  advance_live t.live lsn pk record;
+  match pk.Log_record.p_kind with
+  | Log_record.K_checkpoint ->
+      push_anchor t seg (li + pk.Log_record.p_len) (Live_txns.freeze t.live)
+  | _ -> ()
 
 let unindex_record t seg pk lsn =
+  let li = Lsn.to_int lsn in
   let sub = ref idx_record_bytes in
   (match pk.Log_record.p_kind with
   | Log_record.K_page_op Log_record.K_full_image ->
@@ -484,28 +645,26 @@ let unindex_record t seg pk lsn =
       | Some l -> l := List.filter (fun f -> not (Lsn.equal f lsn)) !l
       | None -> ());
       sub := !sub + idx_fpi_bytes
-  | Log_record.K_checkpoint ->
-      seg.s_ckpts <- List.filter (fun c -> not (Lsn.equal c lsn)) seg.s_ckpts;
-      sub := !sub + idx_ckpt_bytes
+  | Log_record.K_commit -> stamps_pop t commits seg li
+  | Log_record.K_checkpoint -> stamps_pop t ckpts seg li
   | _ -> ());
   if Log_record.is_page_kind pk.Log_record.p_kind then begin
     chain_remove seg.s_chains (Page_id.to_int pk.Log_record.p_page) lsn;
     sub := !sub + idx_chain_bytes
   end;
-  seg.s_index_bytes <- seg.s_index_bytes - !sub;
-  t.index_bytes <- t.index_bytes - !sub
+  pop_anchors_after t seg li;
+  charge_index t seg (- !sub)
 
-(* Txn write-set index maintenance from a header peek.  [wall] is forced
-   only for commit records — the one field the header lacks; every
-   ingestion path can supply it either from the record in hand (append)
-   or by decoding the tiny commit payload (restore/ingest). *)
+(* Txn write-set index maintenance from a header peek.  [record] is
+   forced only for commit records — their wall time is the one field the
+   header lacks. *)
 let structural_op_kind = function
   | Log_record.K_set_header | Log_record.K_format | Log_record.K_preformat
   | Log_record.K_full_image ->
       true
   | Log_record.K_insert_row | Log_record.K_delete_row | Log_record.K_update_row -> false
 
-let note_record t lsn pk ~wall =
+let note_record t lsn pk ~record =
   let txn = pk.Log_record.p_txn in
   if not (Txn_id.is_nil txn) then begin
     let key = Txn_id.to_int txn in
@@ -534,7 +693,7 @@ let note_record t lsn pk ~wall =
     match pk.Log_record.p_kind with
     | Log_record.K_commit ->
         acc.a_commit <- lsn;
-        acc.a_wall <- Lazy.force wall
+        acc.a_wall <- wall_of record
     | Log_record.K_abort -> acc.a_aborted <- true
     | Log_record.K_page_op k | Log_record.K_clr k ->
         acc.a_last_op <- lsn;
@@ -551,16 +710,6 @@ let note_record t lsn pk ~wall =
         end
     | Log_record.K_begin | Log_record.K_end | Log_record.K_checkpoint -> ()
   end
-
-let wall_of_record record =
-  lazy
-    (match record.Log_record.body with Log_record.Commit { wall_us } -> wall_us | _ -> 0.0)
-
-let wall_of_data data =
-  lazy
-    (match (Log_record.decode data).Log_record.body with
-    | Log_record.Commit { wall_us } -> wall_us
-    | _ -> 0.0)
 
 (* Tail records were dropped (crash, torn-tail repair, replication
    divergence cut): the incremental summaries may describe records that no
@@ -599,8 +748,9 @@ let append t record =
   t.unflushed_bytes <- t.unflushed_bytes + len;
   touch_cache_on_append t lsn len;
   let pk = Log_record.peek data in
-  index_record t seg pk lsn;
-  if t.txn_index_valid then note_record t lsn pk ~wall:(wall_of_record record);
+  let lazy_record = Lazy.from_val record in
+  index_record t seg pk lsn ~record:lazy_record;
+  if t.txn_index_valid then note_record t lsn pk ~record:lazy_record;
   (* The record object is in hand; seed the decoded cache so the first
      chain walk over fresh history never decodes. *)
   seg.s_cached.(seg.s_n - 1) <-
@@ -883,31 +1033,153 @@ let charge_scan t ~from ~upto =
 (* ---------- merged directory views ---------- *)
 
 let checkpoints_before t lsn =
-  (* Per-segment lists are descending; prepending newer segments' slices
-     in front of older ones keeps the merged list descending. *)
+  let li = Lsn.to_int lsn and tb = Lsn.to_int t.truncated_below in
+  (* Ascending walk, prepending: the result is descending. *)
   let res = ref [] in
   for si = t.seg_lo to t.seg_hi - 1 do
-    let l =
-      List.filter
-        (fun c -> Lsn.(c <= lsn) && Lsn.(c >= t.truncated_below))
-        t.segs.(si).s_ckpts
-    in
-    res := l @ !res
+    let d = t.segs.(si).s_ckpts in
+    for i = 0 to d.st_len - 1 do
+      let c = d.st_lsn.(i) in
+      if c <= li && c >= tb then res := Lsn.of_int c :: !res
+    done
   done;
   !res
 
 (* Newest retained checkpoint, for the crash/repair fallback of
    [last_checkpoint]. *)
 let newest_checkpoint t =
-  let res = ref Lsn.nil in
-  let si = ref (t.seg_hi - 1) in
+  let tb = Lsn.to_int t.truncated_below in
+  let res = ref Lsn.nil and si = ref (t.seg_hi - 1) in
   while Lsn.is_nil !res && !si >= t.seg_lo do
-    (match t.segs.(!si).s_ckpts with
-    | c :: _ when Lsn.(c >= t.truncated_below) -> res := c
-    | _ -> ());
+    let d = t.segs.(!si).s_ckpts in
+    if d.st_len > 0 && d.st_lsn.(d.st_len - 1) >= tb then
+      res := Lsn.of_int d.st_lsn.(d.st_len - 1);
     decr si
   done;
   !res
+
+(* First index in [lo, hi) satisfying the monotone predicate [p], or [hi]. *)
+let first_true lo hi p =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if p mid then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+let checkpoint_at_or_before t ~wall_us =
+  let tb = Lsn.to_int t.truncated_below in
+  let res = ref None and fin = ref false and si = ref (t.seg_hi - 1) in
+  while (not !fin) && !si >= t.seg_lo do
+    let d = t.segs.(!si).s_ckpts in
+    (* Newest entry of this segment with wall <= wall_us, or -1.  Without
+       descents the segment's walls ascend, so a binary search decides;
+       otherwise walk back (in memory — no record is read). *)
+    let j =
+      if d.st_desc = 0 then first_true 0 d.st_len (fun i -> d.st_wall.(i) > wall_us) - 1
+      else begin
+        let j = ref (d.st_len - 1) in
+        while !j >= 0 && d.st_wall.(!j) > wall_us do
+          decr j
+        done;
+        !j
+      end
+    in
+    if j >= 0 then begin
+      fin := true;
+      if d.st_lsn.(j) >= tb then res := Some (Lsn.of_int d.st_lsn.(j))
+    end;
+    decr si
+  done;
+  !res
+
+let checkpoint_after t lsn =
+  let li = max (Lsn.to_int lsn) (Lsn.to_int t.truncated_below - 1) in
+  let res = ref None and si = ref t.seg_lo in
+  while !res = None && !si < t.seg_hi do
+    let d = t.segs.(!si).s_ckpts in
+    let i = first_true 0 d.st_len (fun i -> d.st_lsn.(i) > li) in
+    if i < d.st_len then res := Some (Lsn.of_int d.st_lsn.(i));
+    incr si
+  done;
+  !res
+
+let commits_through t ~from ~stop ~wall_us =
+  let fi = Lsn.to_int (Lsn.max from t.truncated_below) and stop_i = Lsn.to_int stop in
+  let count = ref 0 and last = ref None and fin = ref false and si = ref t.seg_lo in
+  while (not !fin) && !si < t.seg_hi do
+    let s = t.segs.(!si) in
+    if s.s_base >= stop_i then fin := true
+    else if s.s_end > fi then begin
+      let d = s.s_commits in
+      let i0 = first_true 0 d.st_len (fun i -> d.st_lsn.(i) >= fi) in
+      let prev = if i0 = 0 then d.st_base_max else d.st_max.(i0 - 1) in
+      (* First entry at or after [i0] that ends the search.  When every
+         earlier wall is at or before [wall_us], the first wall past it is
+         the first running maximum past it — a binary search; otherwise
+         the walls are out of order and the entries are walked. *)
+      let k =
+        if prev <= wall_us then
+          first_true i0 d.st_len (fun i -> d.st_lsn.(i) >= stop_i || d.st_max.(i) > wall_us)
+        else begin
+          let k = ref i0 in
+          while !k < d.st_len && d.st_lsn.(!k) < stop_i && d.st_wall.(!k) <= wall_us do
+            incr k
+          done;
+          !k
+        end
+      in
+      count := !count + (k - i0);
+      if k > i0 then last := Some (Lsn.of_int d.st_lsn.(k - 1));
+      if k < d.st_len then fin := true
+    end;
+    incr si
+  done;
+  (!count, !last)
+
+(* Newest anchor positioned at or below [ui]: (segment index, anchor
+   index), dead-prefix anchors included. *)
+let anchor_at_or_below t ui =
+  let res = ref None and si = ref (t.seg_hi - 1) in
+  while !res = None && !si >= t.seg_lo do
+    let s = t.segs.(!si) in
+    if s.s_base <= ui then begin
+      let k = first_true 0 s.s_nanchors (fun k -> s.s_anchor_pos.(k) > ui) - 1 in
+      if k >= 0 then res := Some (!si, k)
+    end;
+    decr si
+  done;
+  !res
+
+let analysis_anchor t ~upto =
+  match anchor_at_or_below t (Lsn.to_int upto) with
+  | Some (si, k) ->
+      let s = t.segs.(si) in
+      let pos = s.s_anchor_pos.(k) in
+      if pos >= Lsn.to_int t.truncated_below then Some (Lsn.of_int pos, s.s_anchor_state.(k))
+      else None
+  | None -> None
+
+(* Recompute [live] and [anchor_pos] after tail records were dropped:
+   start from the newest surviving anchor at or below [upto] and replay
+   the records between it and [upto] — about one block — through the
+   anchor transition.  Unpriced: index maintenance, like the peeks. *)
+let resync_live t ~upto =
+  let ui = Lsn.to_int upto in
+  let st, start =
+    match anchor_at_or_below t ui with
+    | Some (si, k) ->
+        let s = t.segs.(si) in
+        t.anchor_pos <- s.s_anchor_pos.(k);
+        (s.s_anchor_state.(k), Some (si, rec_lower s s.s_anchor_pos.(k)))
+    | None ->
+        t.anchor_pos <- 0;
+        (Live_txns.empty, if t.seg_hi > t.seg_lo then Some (t.seg_lo, 0) else None)
+  in
+  let acc = Live_txns.thaw st in
+  iter_from t start ~upto (fun s i lsn ->
+      advance_live acc lsn (rec_peek s i) (lazy (Log_record.decode (rec_data s i))));
+  t.live <- acc
 
 let earliest_fpi_after t page ~after =
   let pid = Page_id.to_int page in
@@ -1151,8 +1423,9 @@ let restore_entries t entries =
         invalid_arg "Log_manager.restore_entries: non-contiguous entries";
       let seg = raw_append t data lsn in
       let pk = Log_record.peek data in
-      index_record t seg pk lsn;
-      if t.txn_index_valid then note_record t lsn pk ~wall:(wall_of_data data);
+      let record = lazy (Log_record.decode data) in
+      index_record t seg pk lsn ~record;
+      if t.txn_index_valid then note_record t lsn pk ~record;
       (* Replay sealing so a restored log has the same segment shape as
          the one that was dumped — but unpriced: persistence is an
          offline operation. *)
@@ -1235,6 +1508,7 @@ let truncate_from t lsn =
     t.end_lsn <- Lsn.of_int phys_end;
     if Lsn.(t.flushed_lsn > t.end_lsn) then t.flushed_lsn <- t.end_lsn;
     t.unflushed_bytes <- 0;
+    resync_live t ~upto:t.end_lsn;
     if Lsn.(t.last_checkpoint >= t.end_lsn) then t.last_checkpoint <- newest_checkpoint t;
     (* The dropped LSNs will be recycled by whoever appends next (the new
        primary's stream, re-shipped) — derived rewound state is void. *)
@@ -1260,7 +1534,8 @@ let crash t =
   for _ = 1 to unflushed_records - keep do
     remove_last t
   done;
-  if keep > 0 then begin
+  let indexed_upto =
+    if keep > 0 then begin
     (* Tear the last survivor: only a prefix of its bytes hit the disk.
        Unindex it while its header is still intact; recovery's CRC scan
        ([repair_tail]) will find the stump and truncate there.  The stump
@@ -1277,9 +1552,15 @@ let crash t =
     s.s_end <- li + cut;
     if s.s_resident then t.resident_payload <- t.resident_payload - (len - cut);
     t.end_lsn <- Lsn.of_int (li + cut);
-    t.io.Io_stats.faults_injected <- t.io.Io_stats.faults_injected + 1
+    t.io.Io_stats.faults_injected <- t.io.Io_stats.faults_injected + 1;
+    Lsn.of_int li
   end
-  else t.end_lsn <- t.flushed_lsn;
+  else begin
+    t.end_lsn <- t.flushed_lsn;
+    t.end_lsn
+  end
+  in
+  resync_live t ~upto:indexed_upto;
   t.flushed_lsn <- t.end_lsn;
   t.unflushed_bytes <- 0;
   if Lsn.(t.last_checkpoint >= t.end_lsn) then t.last_checkpoint <- newest_checkpoint t;
@@ -1326,6 +1607,7 @@ let repair_tail t =
       let torn_lsn = Lsn.of_int torn_i in
       let dropped = drop_tail_records t torn_i in
       t.end_lsn <- torn_lsn;
+      resync_live t ~upto:torn_lsn;
       if Lsn.(t.flushed_lsn > torn_lsn) then t.flushed_lsn <- torn_lsn;
       t.unflushed_bytes <- 0;
       if Lsn.(t.last_checkpoint >= torn_lsn) then t.last_checkpoint <- newest_checkpoint t;
@@ -1413,8 +1695,9 @@ let ingest_entries t entries =
         t.unflushed_bytes <- t.unflushed_bytes + String.length data;
         touch_cache_on_append t lsn (String.length data);
         let pk = Log_record.peek data in
-        index_record t seg pk lsn;
-        if t.txn_index_valid then note_record t lsn pk ~wall:(wall_of_data data);
+        let record = lazy (Log_record.decode data) in
+        index_record t seg pk lsn ~record;
+        if t.txn_index_valid then note_record t lsn pk ~record;
         incr applied;
         if seg_used seg >= t.segment_bytes then seal_segment t seg
       end)
@@ -1459,12 +1742,7 @@ let rebuild_txn_index t =
            && (not (Hashtbl.mem t.txn_index (Txn_id.to_int txn)))
            && not (Lsn.is_nil pk.Log_record.p_prev_txn_lsn)
          then Hashtbl.replace straddlers (Txn_id.to_int txn) ();
-         note_record t lsn pk
-           ~wall:
-             (lazy
-               (match (decode ()).Log_record.body with
-               | Log_record.Commit { wall_us } -> wall_us
-               | _ -> 0.0)))
+         note_record t lsn pk ~record:(lazy (decode ())))
    with e ->
      (* A failed scan must not leave a half-populated index serving
         queries: stay void, the next query retries the rebuild. *)

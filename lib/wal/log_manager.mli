@@ -25,7 +25,7 @@
     reads of a spilled segment fault blocks back in through the block
     cache exactly like any other cold read.  All record-level indexes
     (the sorted record-offset array, the FPI directory, the per-page
-    chain index, the checkpoint list) are segment-local with merged
+    chain index, the timestamp directory, the analysis anchors) are segment-local with merged
     views behind the query API, so retention truncation drops whole
     sealed segments in O(1) each and frees their indexes wholesale.
     With retention on, modeled resident memory is bounded by the tail
@@ -175,6 +175,42 @@ val checkpoints_before : t -> Rw_storage.Lsn.t -> Rw_storage.Lsn.t list
 (** LSNs of retained checkpoint records at or before the given LSN,
     descending (newest first). *)
 
+(** {2 Timestamp directory and analysis anchors}
+
+    Two more segment-local indexes, maintained from the same header peeks
+    on every ingestion path and freed with their segment; both count in
+    {!resident_bytes}.  The {e timestamp directory} holds (LSN, wall time)
+    per commit and checkpoint record, with a running maximum of the wall
+    times, so the SplitLSN search ([Rw_core.Split_lsn]) is binary searches
+    instead of a log scan.  An {e analysis anchor} is the live-transaction
+    analysis state ({!Live_txns}) at a log position, restarted at every
+    checkpoint record; one sits at the first record of every log block and
+    one just past every checkpoint, so snapshot analysis scans at most
+    about one block.  Neither structure reads or prices any I/O. *)
+
+val checkpoint_at_or_before : t -> wall_us:float -> Rw_storage.Lsn.t option
+(** The newest retained checkpoint whose wall time is at or before
+    [wall_us]. *)
+
+val checkpoint_after : t -> Rw_storage.Lsn.t -> Rw_storage.Lsn.t option
+(** The oldest retained checkpoint strictly after the given LSN. *)
+
+val commits_through :
+  t ->
+  from:Rw_storage.Lsn.t ->
+  stop:Rw_storage.Lsn.t ->
+  wall_us:float ->
+  int * Rw_storage.Lsn.t option
+(** Walk the retained commit records with [from <= lsn < stop] in LSN
+    order, stopping at the first whose wall time is after [wall_us]:
+    how many were passed, and the LSN of the last one passed. *)
+
+val analysis_anchor : t -> upto:Rw_storage.Lsn.t -> (Rw_storage.Lsn.t * Live_txns.t) option
+(** The newest retained analysis anchor positioned at or below [upto]:
+    its position [p] and the live transactions after every record below
+    [p], as analysis restarted at the newest checkpoint below [p] (or at
+    the log origin) computes them. *)
+
 val earliest_fpi_after :
   t -> Rw_storage.Page_id.t -> after:Rw_storage.Lsn.t -> Rw_storage.Lsn.t option
 (** The earliest retained full-page-image record for the page with
@@ -280,7 +316,8 @@ val dump_entries : t -> (Rw_storage.Lsn.t * string) list
 
 val restore_entries : t -> (Rw_storage.Lsn.t * string) list -> unit
 (** Rebuild a fresh log manager's state from {!dump_entries} output
-    (indexes, FPI directory and checkpoint list included).  Every restored
+    (indexes, FPI directory, timestamp directory and analysis anchors
+    included).  Every restored
     record is considered durable.  Raises on a non-empty log. *)
 
 (** {2 Replication}

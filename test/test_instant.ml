@@ -10,6 +10,7 @@ module Disk = Rw_storage.Disk
 module Sim_clock = Rw_storage.Sim_clock
 module Log_manager = Rw_wal.Log_manager
 module Recovery = Rw_recovery.Recovery
+module Domain_pool = Rw_pool.Domain_pool
 module Database = Rw_engine.Database
 module Row = Rw_engine.Row
 module Schema = Rw_catalog.Schema
@@ -186,9 +187,9 @@ let test_parallel_redo_equals_sequential () =
   in
   (* Force true cross-domain execution even on a 1-core host (the default
      cap would fold the partitions onto the calling domain there). *)
-  Recovery.set_redo_fanout (Some 4);
+  Domain_pool.set_fanout (Some 4);
   Fun.protect
-    ~finally:(fun () -> Recovery.set_redo_fanout None)
+    ~finally:(fun () -> Domain_pool.set_fanout None)
     (fun () ->
       let rows1, fp1, redone1 = run 1 in
       List.iter
@@ -204,7 +205,7 @@ let test_parallel_redo_equals_sequential () =
         [ 2; 4 ];
       (* And under the default core-count cap (partitions folded or not,
          the result must be the same). *)
-      Recovery.set_redo_fanout None;
+      Domain_pool.set_fanout None;
       let rows4, fp4, redone4 = run 4 in
       check "capped 4-domain rows equal sequential" true (rows4 = rows1);
       check "capped 4-domain disk pages equal sequential" true (fp4 = fp1);

@@ -32,6 +32,14 @@ module Replica = Rw_repl.Replica
 module Shipper = Rw_repl.Shipper
 module Failover = Rw_repl.Failover
 module Tpcc = Rw_workload.Tpcc
+module Domain_pool = Rw_pool.Domain_pool
+module Disk = Rw_storage.Disk
+module Page = Rw_storage.Page
+module Page_id = Rw_storage.Page_id
+module Slotted_page = Rw_storage.Slotted_page
+module Prng = Rw_storage.Prng
+module Row = Rw_engine.Row
+module Schema = Rw_catalog.Schema
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -364,6 +372,82 @@ let test_failover_rejoin () =
   check "rejoined rows equal" (table_dump (Replica.db rejoined) = table_dump new_primary) true;
   Shipper.detach sh2
 
+(* --- partition-parallel catch-up on a compaction-heavy history --- *)
+
+(* Canonical page form ([As_of_snapshot.page_string]'s): logical header
+   fields and slot rows, without the layout that unlogged compaction
+   makes path-dependent. *)
+let canonical page =
+  let b = Buffer.create Page.page_size in
+  Buffer.add_string b (Bytes.sub_string page 0 20);
+  Buffer.add_string b (Bytes.sub_string page 24 24);
+  Slotted_page.iter page (fun i row ->
+      Buffer.add_string b (Printf.sprintf "|%d:%d:" i (String.length row));
+      Buffer.add_string b row);
+  Buffer.contents b
+
+let disk_pages db =
+  let d = Database.disk db in
+  List.init (Disk.page_count d) (fun i -> canonical (Disk.read_page_nocost d (Page_id.of_int i)))
+
+(* Rows that alternately grow and shrink on the same pages, so replaying
+   the updates compacts pages over and over — on several worker domains
+   at once when catch-up redo is partitioned. *)
+let compaction_run seed =
+  let eng = Engine.create ~media:Media.ram () in
+  let db = Engine.create_database eng ~pool_capacity:1024 ~log_segment_bytes:16384 "prim" in
+  let cols =
+    [ { Schema.name = "id"; ctype = Schema.Int }; { Schema.name = "val"; ctype = Schema.Text } ]
+  in
+  Database.with_txn db (fun txn -> ignore (Database.create_table db txn ~table:"c" ~columns:cols ()));
+  let rng = Prng.create seed in
+  let rows = 400 in
+  let text () = String.make (Prng.int_in rng 8 600) (Char.chr (97 + Prng.int rng 26)) in
+  Database.with_txn db (fun txn ->
+      for k = 1 to rows do
+        Database.insert db txn ~table:"c" [ Row.Int (Int64.of_int k); Row.Text (text ()) ]
+      done);
+  ignore (Database.checkpoint db);
+  let replicas =
+    List.map
+      (fun d -> (d, Replica.of_primary ~redo_domains:d ~name:(Printf.sprintf "r%d" d) db))
+      [ 1; 2; 4 ]
+  in
+  for _ = 1 to 40 do
+    Database.with_txn db (fun txn ->
+        for _ = 1 to 50 do
+          let k = 1 + Prng.int rng rows in
+          Database.update db txn ~table:"c" [ Row.Int (Int64.of_int k); Row.Text (text ()) ]
+        done)
+  done;
+  (* The checkpoint makes every replica flush its redone pages on receipt. *)
+  ignore (Database.checkpoint db);
+  let clock = Engine.clock eng in
+  let pages =
+    List.map
+      (fun (d, replica) ->
+        let sh = Shipper.attach ~primary:db ~replica ~channel:(Channel.create ~clock ()) () in
+        Shipper.catch_up sh;
+        check (Printf.sprintf "seed %d: redo_domains %d caught up" seed d) true
+          (Shipper.state sh = Shipper.Caught_up);
+        Shipper.detach sh;
+        (d, disk_pages (Replica.db replica)))
+      replicas
+  in
+  let serial = List.assoc 1 pages in
+  List.iter
+    (fun d ->
+      check (Printf.sprintf "seed %d: redo_domains %d pages equal redo_domains 1" seed d) true
+        (List.assoc d pages = serial))
+    [ 2; 4 ]
+
+let test_parallel_catchup_compaction () =
+  (* Force true cross-domain execution even on a small host. *)
+  Domain_pool.set_fanout (Some 4);
+  Fun.protect
+    ~finally:(fun () -> Domain_pool.set_fanout None)
+    (fun () -> List.iter compaction_run [ 1; 2; 3; 4; 5 ])
+
 let () =
   Alcotest.run "repl"
     [
@@ -381,5 +465,7 @@ let () =
           Alcotest.test_case "retention floor protects lagging replica" `Quick
             test_retention_floor;
           Alcotest.test_case "failover + rejoin" `Quick test_failover_rejoin;
+          Alcotest.test_case "parallel catch-up on compaction-heavy history" `Quick
+            test_parallel_catchup_compaction;
         ] );
     ]

@@ -48,6 +48,13 @@ if [ "$before" != "$after" ]; then
   exit 1
 fi
 
+echo "== end-to-end benchmark self-test =="
+# Every workload at --quick on both trace settings: declared metrics and
+# units match BENCHMARK.json, every oracle agrees, a corrupted oracle
+# answer counts as a failure, and each op's simulated time is fully
+# attributed.  Exits non-zero on any failed check.
+python3 perfbench/run.py --selftest
+
 echo "== bench smoke (all --quick --json) =="
 # The bench run overwrites BENCH_micro.json, so snapshot the checked-in
 # baseline values of the guarded benchmarks first.
