@@ -113,7 +113,10 @@ type in_flight = {
    so the newest anchor past [base] holds exactly the state that scan
    would have reached at the anchor, and only the records from the anchor
    to the split are read.  When [split] is [base] itself, the checkpoint's
-   own anchor (just past it, no records between) answers. *)
+   own anchor (just past it, no records between) answers.  The tail scan
+   never meets a checkpoint, whatever the caller passes: every checkpoint
+   has an anchor just past it, so one below [split] would have an anchor
+   newer than the one taken.  [Live_txns.step] alone is the transition. *)
 let in_flight_at ~log ~base ~split =
   let horizon =
     if Lsn.is_nil base then split else Lsn.max split (Log_manager.next_lsn_after log base)
@@ -127,14 +130,9 @@ let in_flight_at ~log ~base ~split =
     | _ -> invalid_arg "Recovery.in_flight_at: no analysis anchor past the base checkpoint"
   in
   let scanned = ref 0 in
-  Log_manager.iter_range_peek log ~from ~upto:split (fun lsn pk decode ->
+  Log_manager.iter_range_peek log ~from ~upto:split (fun lsn pk _ ->
       incr scanned;
-      match pk.Log_record.p_kind with
-      | Log_record.K_checkpoint -> (
-          match (decode ()).Log_record.body with
-          | Log_record.Checkpoint { active_txns; _ } -> Live_txns.restart live active_txns
-          | _ -> ())
-      | _ -> Live_txns.step live lsn pk);
+      Live_txns.step live lsn pk);
   Obs.add Probes.snapshot_analysis_records !scanned;
   {
     if_losers = Live_txns.losers live;
@@ -182,9 +180,9 @@ let redo_pass ~log ~pool ~analysis ~upto =
    mutable but the pages they own — the result is byte-identical to the
    sequential pass.  [domains] fixes the partition COUNT (and therefore
    the work split); how many domains actually run them is a separate
-   fan-out knob, clamped to the host's core count (see [set_redo_fanout]),
-   with partitions assigned round-robin so any fan-out yields the same
-   pages. *)
+   fan-out knob, clamped to the host's core count (see
+   [Rw_pool.Domain_pool.set_fanout]), with partitions assigned
+   round-robin so any fan-out yields the same pages. *)
 (* The parked worker-domain pool this module once owned now lives in
    [Rw_pool.Domain_pool], shared with snapshot batch rewind and the
    scrub sweep; redo keeps only its partitioning logic.  Partition COUNT

@@ -29,12 +29,19 @@ val thaw : t -> acc
 val freeze : acc -> t
 (** The accumulator's current state; O(live transactions). *)
 
+val take_added : acc -> int
+(** Page entries added to the live transactions' page sets since the
+    accumulator was made or this was last called; resets the count.  A
+    frozen state shares its page sets with the previous one except for
+    these additions, which is what the log manager charges per anchor. *)
+
 val seed : acc -> (Txn_id.t * Rw_storage.Lsn.t) list -> unit
 (** Merge a checkpoint's active-transaction table: each listed transaction
     not already live enters with the listed last LSN and no pages. *)
 
 val restart : acc -> (Txn_id.t * Rw_storage.Lsn.t) list -> unit
-(** Reset to exactly a checkpoint's active-transaction table, no pages. *)
+(** Reset to exactly a checkpoint's active-transaction table, no pages;
+    also resets the {!take_added} count. *)
 
 val step : acc -> Rw_storage.Lsn.t -> Log_record.peek -> unit
 (** Apply one record's header.  [Begin] makes the transaction live;

@@ -11,21 +11,10 @@ exception No_such_record of Lsn.t
 type chain = { mutable arr : Lsn.t array; mutable len : int }
 
 (* Growable timestamp directory of one record kind (commits or
-   checkpoints) within a segment: LSN and wall time per record,
-   ascending by LSN, plus the running maximum of the wall times
-   over the log up to and including each entry.  [st_base_max] is the
-   running maximum just before the segment's first entry, so the
-   predecessor of any entry is known even after older segments drop.
-   Within a segment [st_max] is nondecreasing, which is what lets the
-   SplitLSN search binary-search it. *)
-type stamps = {
-  mutable st_lsn : int array;
-  mutable st_wall : float array;
-  mutable st_max : float array;
-  mutable st_len : int;
-  mutable st_base_max : float;
-  mutable st_desc : int; (* entries whose wall is below the running maximum *)
-}
+   checkpoints) within a segment: LSN and wall time per record, ascending
+   by LSN.  Queries walk it in memory; walls need not ascend (a promoted
+   replica stamps with its own clock). *)
+type stamps = { mutable st_lsn : int array; mutable st_wall : float array; mutable st_len : int }
 
 module Fault_plan = Rw_storage.Fault_plan
 module Obs = Rw_obs.Metrics
@@ -74,21 +63,14 @@ type segment = {
          first record of every log block and one just past every
          checkpoint record. *)
   mutable s_anchor_state : Live_txns.t array;
+  mutable s_anchor_bytes : int array; (* modeled footprint charged per anchor *)
   mutable s_nanchors : int;
   mutable s_index_bytes : int;
       (* modeled footprint of this segment's index structures; freed
          wholesale when the segment is dropped *)
 }
 
-let mk_stamps () =
-  {
-    st_lsn = [||];
-    st_wall = [||];
-    st_max = [||];
-    st_len = 0;
-    st_base_max = neg_infinity;
-    st_desc = 0;
-  }
+let mk_stamps () = { st_lsn = [||]; st_wall = [||]; st_len = 0 }
 
 let mk_segment ~segment_bytes base =
   {
@@ -107,6 +89,7 @@ let mk_segment ~segment_bytes base =
     s_ckpts = mk_stamps ();
     s_anchor_pos = [||];
     s_anchor_state = [||];
+    s_anchor_bytes = [||];
     s_nanchors = 0;
     s_index_bytes = 0;
   }
@@ -497,15 +480,16 @@ let chain_upper c v =
 
 (* Modeled index footprint per entry: the record's offset + cache-handle
    slots, a chain array element, an FPI list cons, a timestamp-directory
-   entry (three array slots), an analysis anchor (its position and state
-   slots plus one map node per live transaction — the states themselves
-   share structure).  Coarse, but it moves with the structures it models
-   and is freed exactly when they are. *)
+   entry (two array slots), an analysis anchor (its position, state and
+   charge slots, one map node per live transaction, and one set node per
+   page entry added since the previous anchor — the rest of its page sets
+   is shared with that anchor).  Coarse, but it moves with the structures
+   it models and is freed exactly when they are. *)
 let idx_record_bytes = 16
 let idx_chain_bytes = 8
 let idx_fpi_bytes = 24
-let idx_stamp_bytes = 24
-let anchor_bytes st = 16 + (24 * Live_txns.cardinal st)
+let idx_stamp_bytes = 16
+let anchor_bytes st ~added = 24 + (24 * Live_txns.cardinal st) + (32 * added)
 
 let charge_index t seg bytes =
   seg.s_index_bytes <- seg.s_index_bytes + bytes;
@@ -513,20 +497,8 @@ let charge_index t seg bytes =
 
 (* ---------- commit/checkpoint timestamp directories ---------- *)
 
-(* Running maximum of the wall times up to the directory's newest entry
-   (the directory selected by [sel]) across the live segments. *)
-let stamps_max t sel =
-  let m = ref neg_infinity and si = ref (t.seg_hi - 1) in
-  while !m = neg_infinity && !si >= t.seg_lo do
-    let d = sel t.segs.(!si) in
-    if d.st_len > 0 then m := d.st_max.(d.st_len - 1);
-    decr si
-  done;
-  !m
-
 let stamps_push t sel seg ~lsn ~wall =
   let d = sel seg in
-  if d.st_len = 0 then d.st_base_max <- stamps_max t sel;
   if d.st_len = Array.length d.st_lsn then begin
     let cap = max 16 (2 * d.st_len) in
     let grow a fill =
@@ -535,15 +507,11 @@ let stamps_push t sel seg ~lsn ~wall =
       b
     in
     d.st_lsn <- grow d.st_lsn 0;
-    d.st_wall <- grow d.st_wall 0.0;
-    d.st_max <- grow d.st_max 0.0
+    d.st_wall <- grow d.st_wall 0.0
   end;
-  let prev = if d.st_len = 0 then d.st_base_max else d.st_max.(d.st_len - 1) in
   let i = d.st_len in
   d.st_lsn.(i) <- lsn;
   d.st_wall.(i) <- wall;
-  d.st_max.(i) <- Float.max prev wall;
-  if wall < prev then d.st_desc <- d.st_desc + 1;
   d.st_len <- i + 1;
   charge_index t seg idx_stamp_bytes
 
@@ -553,7 +521,6 @@ let stamps_pop t sel seg lsn =
   let d = sel seg in
   let i = d.st_len - 1 in
   if i >= 0 && d.st_lsn.(i) = lsn then begin
-    if d.st_wall.(i) < d.st_max.(i) then d.st_desc <- d.st_desc - 1;
     d.st_len <- i;
     charge_index t seg (-idx_stamp_bytes)
   end
@@ -565,28 +532,33 @@ let ckpts s = s.s_ckpts
 
 let block_of t pos = (pos - 1) / t.block_bytes
 
-let push_anchor t seg pos st =
+let push_anchor t seg pos =
+  let st = Live_txns.freeze t.live in
+  let bytes = anchor_bytes st ~added:(Live_txns.take_added t.live) in
   let n = seg.s_nanchors in
   if n = Array.length seg.s_anchor_pos then begin
     let cap = max 4 (2 * n) in
-    let p = Array.make cap 0 and a = Array.make cap Live_txns.empty in
+    let p = Array.make cap 0 and a = Array.make cap Live_txns.empty and b = Array.make cap 0 in
     Array.blit seg.s_anchor_pos 0 p 0 n;
     Array.blit seg.s_anchor_state 0 a 0 n;
+    Array.blit seg.s_anchor_bytes 0 b 0 n;
     seg.s_anchor_pos <- p;
-    seg.s_anchor_state <- a
+    seg.s_anchor_state <- a;
+    seg.s_anchor_bytes <- b
   end;
   seg.s_anchor_pos.(n) <- pos;
   seg.s_anchor_state.(n) <- st;
+  seg.s_anchor_bytes.(n) <- bytes;
   seg.s_nanchors <- n + 1;
   t.anchor_pos <- pos;
-  charge_index t seg (anchor_bytes st)
+  charge_index t seg bytes
 
 (* Drop the segment's anchors positioned past [li] (they describe state
    that includes the record at [li]). *)
 let pop_anchors_after t seg li =
   while seg.s_nanchors > 0 && seg.s_anchor_pos.(seg.s_nanchors - 1) > li do
     let k = seg.s_nanchors - 1 in
-    charge_index t seg (-anchor_bytes seg.s_anchor_state.(k));
+    charge_index t seg (-seg.s_anchor_bytes.(k));
     seg.s_anchor_state.(k) <- Live_txns.empty;
     seg.s_nanchors <- k
   done
@@ -629,11 +601,11 @@ let index_record t seg pk lsn ~record =
   end;
   charge_index t seg !add;
   if t.anchor_pos = 0 || block_of t li > block_of t t.anchor_pos then
-    push_anchor t seg li (Live_txns.freeze t.live);
+    push_anchor t seg li;
   advance_live t.live lsn pk record;
   match pk.Log_record.p_kind with
   | Log_record.K_checkpoint ->
-      push_anchor t seg (li + pk.Log_record.p_len) (Live_txns.freeze t.live)
+      push_anchor t seg (li + pk.Log_record.p_len)
   | _ -> ()
 
 let unindex_record t seg pk lsn =
@@ -1067,27 +1039,20 @@ let first_true lo hi p =
   done;
   !lo
 
+(* Newest retained checkpoint with wall <= [wall_us]: a walk back over
+   the in-memory directory, no record read. *)
 let checkpoint_at_or_before t ~wall_us =
   let tb = Lsn.to_int t.truncated_below in
   let res = ref None and fin = ref false and si = ref (t.seg_hi - 1) in
   while (not !fin) && !si >= t.seg_lo do
     let d = t.segs.(!si).s_ckpts in
-    (* Newest entry of this segment with wall <= wall_us, or -1.  Without
-       descents the segment's walls ascend, so a binary search decides;
-       otherwise walk back (in memory — no record is read). *)
-    let j =
-      if d.st_desc = 0 then first_true 0 d.st_len (fun i -> d.st_wall.(i) > wall_us) - 1
-      else begin
-        let j = ref (d.st_len - 1) in
-        while !j >= 0 && d.st_wall.(!j) > wall_us do
-          decr j
-        done;
-        !j
-      end
-    in
-    if j >= 0 then begin
+    let j = ref (d.st_len - 1) in
+    while !j >= 0 && d.st_wall.(!j) > wall_us do
+      decr j
+    done;
+    if !j >= 0 then begin
       fin := true;
-      if d.st_lsn.(j) >= tb then res := Some (Lsn.of_int d.st_lsn.(j))
+      if d.st_lsn.(!j) >= tb then res := Some (Lsn.of_int d.st_lsn.(!j))
     end;
     decr si
   done;
@@ -1104,6 +1069,8 @@ let checkpoint_after t lsn =
   done;
   !res
 
+(* Walk the commit directory forward from [from] until the first commit
+   at or past [stop] or with wall > [wall_us]. *)
 let commits_through t ~from ~stop ~wall_us =
   let fi = Lsn.to_int (Lsn.max from t.truncated_below) and stop_i = Lsn.to_int stop in
   let count = ref 0 and last = ref None and fin = ref false and si = ref t.seg_lo in
@@ -1113,25 +1080,13 @@ let commits_through t ~from ~stop ~wall_us =
     else if s.s_end > fi then begin
       let d = s.s_commits in
       let i0 = first_true 0 d.st_len (fun i -> d.st_lsn.(i) >= fi) in
-      let prev = if i0 = 0 then d.st_base_max else d.st_max.(i0 - 1) in
-      (* First entry at or after [i0] that ends the search.  When every
-         earlier wall is at or before [wall_us], the first wall past it is
-         the first running maximum past it — a binary search; otherwise
-         the walls are out of order and the entries are walked. *)
-      let k =
-        if prev <= wall_us then
-          first_true i0 d.st_len (fun i -> d.st_lsn.(i) >= stop_i || d.st_max.(i) > wall_us)
-        else begin
-          let k = ref i0 in
-          while !k < d.st_len && d.st_lsn.(!k) < stop_i && d.st_wall.(!k) <= wall_us do
-            incr k
-          done;
-          !k
-        end
-      in
-      count := !count + (k - i0);
-      if k > i0 then last := Some (Lsn.of_int d.st_lsn.(k - 1));
-      if k < d.st_len then fin := true
+      let k = ref i0 in
+      while !k < d.st_len && d.st_lsn.(!k) < stop_i && d.st_wall.(!k) <= wall_us do
+        incr k
+      done;
+      count := !count + (!k - i0);
+      if !k > i0 then last := Some (Lsn.of_int d.st_lsn.(!k - 1));
+      if !k < d.st_len then fin := true
     end;
     incr si
   done;

@@ -180,9 +180,9 @@ val checkpoints_before : t -> Rw_storage.Lsn.t -> Rw_storage.Lsn.t list
     Two more segment-local indexes, maintained from the same header peeks
     on every ingestion path and freed with their segment; both count in
     {!resident_bytes}.  The {e timestamp directory} holds (LSN, wall time)
-    per commit and checkpoint record, with a running maximum of the wall
-    times, so the SplitLSN search ([Rw_core.Split_lsn]) is binary searches
-    instead of a log scan.  An {e analysis anchor} is the live-transaction
+    per commit and checkpoint record, so the SplitLSN search
+    ([Rw_core.Split_lsn]) walks in-memory arrays instead of scanning the
+    log.  An {e analysis anchor} is the live-transaction
     analysis state ({!Live_txns}) at a log position, restarted at every
     checkpoint record; one sits at the first record of every log block and
     one just past every checkpoint, so snapshot analysis scans at most

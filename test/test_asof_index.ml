@@ -305,6 +305,33 @@ let test_split_on_checkpoint () =
     (Database.get view ~table:"t" ~key:1L = Some [ Row.Int 1L; Row.Text "old" ]);
   Database.commit db open_txn
 
+(* Anchor page sets are charged to [index_bytes]: a long transaction
+   writing distinct pages pins a page-set node per page across its
+   anchors, which a transaction rewriting one page does not.  Dropping the
+   tail gives every charge back. *)
+let test_anchor_accounting () =
+  let index_bytes log = (Log_manager.segment_stats log).Log_manager.ss_index_bytes in
+  let run ~distinct =
+    let log = mk_log (Fault_plan.create ~seed:1 ()) in
+    let before = index_bytes log in
+    let txn = Txn_id.of_int 1 in
+    let first = Log_manager.append log (Log_record.make ~txn ~prev_txn_lsn:Lsn.nil Log_record.Begin) in
+    for i = 1 to 400 do
+      let page = Page_id.of_int (if distinct then i else 0) in
+      let op = Log_record.Insert_row { slot = 0; row = "r" } in
+      ignore
+        (Log_manager.append log
+           (Log_record.make ~txn ~prev_txn_lsn:Lsn.nil
+              (Log_record.Page_op { page; prev_page_lsn = Lsn.nil; op })))
+    done;
+    let grown = index_bytes log in
+    ignore (Log_manager.truncate_from log first);
+    check "tail drop returns every charge" true (index_bytes log = before);
+    grown
+  in
+  let distinct = run ~distinct:true and same = run ~distinct:false in
+  check "distinct pages charge their set entries" true (distinct - same >= 32 * 350)
+
 let () =
   Alcotest.run "asof_index"
     [
@@ -314,5 +341,7 @@ let () =
             test_differential;
           Alcotest.test_case "split on a checkpoint with an open transaction" `Quick
             test_split_on_checkpoint;
+          Alcotest.test_case "anchor page sets are charged and released" `Quick
+            test_anchor_accounting;
         ] );
     ]
