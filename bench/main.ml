@@ -318,16 +318,6 @@ module Micro = struct
     Test.make ~name:"e8 writer txn (8 readers)"
       (Staged.stage (fun () -> ignore (Tpcc.run_mix drv ~txns:1)))
 
-  (* The record-at-a-time reference walk over the same history: the gap
-     between this row and the one above is what the chain index + decoded
-     record cache buy. *)
-  let test_prepare_page_walk =
-    let log, page = prepare_env () in
-    Test.make ~name:"prepare_page_as_of_walk (400-op rewind)"
-      (Staged.stage (fun () ->
-           let copy = Page.copy page in
-           ignore (Rw_core.Page_undo.prepare_page_as_of_walk ~log ~page:copy ~as_of:(Lsn.of_int 1))))
-
   (* Rebuilding the same page purely from its log chain — the medium-
      recovery path taken when a fetch fails its checksum.  Replays the
      whole history forward from the Format base record. *)
@@ -577,7 +567,6 @@ module Micro = struct
         test_prepare_page;
         test_prepare_page_cold;
         test_prepare_page_shared;
-        test_prepare_page_walk;
         test_e8_writer_txn;
         test_page_repair;
         test_recovery_analysis;

@@ -125,8 +125,8 @@ let read_as_of ~tally ~shared ~sparse ~primary_disk ~log ~split pid =
       private state.
    3. {e Publish} (coordinator, ascending page order): probes, rewind
       tallies, Prepared_cache inserts, decoded-record cache feeding and
-      side-file writes; plans the apply rejected rerun through the serial
-      path on their untouched pages.
+      side-file writes; a page the apply rejected raises its typed error
+      ({!Page_undo.chain_error}) at its turn, its image untouched.
 
    Because gather and publish orders are fixed and workers touch nothing
    shared, results and counters are byte- and count-identical under any
@@ -173,7 +173,7 @@ let materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split pids =
   in
   let n = Array.length arr in
   let fanout = Domain_pool.effective_fanout n in
-  let results = Array.make n None in
+  let results = Array.make n (Error Lsn.nil) in
   if n > 0 then begin
     Domain_pool.run ~participants:fanout (fun w ->
         let i = ref w in
@@ -197,14 +197,13 @@ let materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split pids =
       let pid = Page.id page in
       let r =
         match results.(i) with
-        | Some (r, feeds) ->
+        | Ok (r, feeds) ->
             Array.iter
               (fun (lsn, record) -> Log_manager.feed_record_cache log lsn record)
               feeds;
             Obs.incr Probes.snapshot_parallel_pages;
-            ignore (Page_undo.note pid r : Page_undo.result);
-            r
-        | None -> Page_undo.prepare_page_as_of ~log ~page ~as_of:split
+            Page_undo.note pid r
+        | Error lsn -> raise (Page_undo.chain_error ~log pid lsn)
       in
       record_rewind tally pid r;
       (match shared with

@@ -11,8 +11,7 @@ exception Chain_broken of { page : Page_id.t; lsn : Lsn.t }
 
 type result = { ops_undone : int; log_records_read : int; used_fpi : bool }
 
-(* One completed rewind, whichever strategy produced it.  The fallback
-   path is accounted once, inside the walk. *)
+(* One completed rewind, whichever fetch produced it. *)
 let note pid (r : result) =
   Obs.incr Probes.page_rewinds;
   Obs.add Probes.ops_undone r.ops_undone;
@@ -29,257 +28,147 @@ let note pid (r : result) =
       "undo.prepare_page";
   r
 
-let read_chain_record log pid lsn =
-  match Log_manager.read log lsn with
-  | r -> r
-  | exception Log_manager.No_such_record _ -> raise (Chain_broken { page = pid; lsn })
+(* A failing LSN below the retention boundary means the chain left the
+   log; anywhere else the chain itself is wrong. *)
+let chain_error ~log pid lsn =
+  if Lsn.(lsn < Log_manager.first_lsn log) then Log_manager.Log_truncated lsn
+  else Chain_broken { page = pid; lsn }
 
-(* Jump-start: restore the earliest full page image logged after the
-   target point, if one exists below the page's current position; the
-   image embeds the page LSN it was taken at, so the walk resumes from
-   there and the log region above the image is never visited. *)
-let try_fpi_jump ~log ~page ~as_of ~reads =
-  let pid = Page.id page in
-  match Log_manager.earliest_fpi_after log pid ~after:as_of with
-  | Some fpi_lsn when Lsn.(fpi_lsn < Page.lsn page) -> (
-      incr reads;
-      let r = read_chain_record log pid fpi_lsn in
-      match Log_record.op_of r with
-      | Some (Log_record.Full_image { image }) ->
-          Bytes.blit_string image 0 page 0 Page.page_size;
-          true
-      | _ -> raise (Chain_broken { page = pid; lsn = fpi_lsn }))
-  | _ -> false
+(* What a rewind must fetch, from index lookups alone (no I/O, no
+   decode).  Jump-start: the earliest full page image logged after the
+   target, if one exists below the page's current position; the image
+   was captured at the FPI record's [prev_page_lsn], so the chain is
+   taken from there down to [as_of] and the log region above the image
+   is never visited. *)
+type plan = {
+  fpi : Lsn.t option;
+  start : Lsn.t;  (* chain top: the image's capture point, else the page LSN *)
+  segment : Lsn.t array;  (* ascending chain LSNs in (as_of, start] *)
+}
 
-let prepare_page_as_of_walk ~log ~page ~as_of =
+let plan ~log ~page ~as_of =
   let pid = Page.id page in
-  let reads = ref 0 in
-  let used_fpi = try_fpi_jump ~log ~page ~as_of ~reads in
-  let undone = ref 0 in
-  let rec walk () =
-    let curr = Page.lsn page in
-    if Lsn.(curr > as_of) then begin
-      incr reads;
-      let r = read_chain_record log pid curr in
-      match r.Log_record.body with
-      | Log_record.Page_op { page = rpid; prev_page_lsn; op }
-      | Log_record.Clr { page = rpid; prev_page_lsn; op; _ } ->
-          if not (Page_id.equal rpid pid) then raise (Chain_broken { page = pid; lsn = curr });
-          Log_record.undo op page;
-          incr undone;
-          Page.set_lsn page prev_page_lsn;
-          walk ()
-      | _ -> raise (Chain_broken { page = pid; lsn = curr })
-    end
+  let top = Page.lsn page in
+  let fpi =
+    match Log_manager.earliest_fpi_after log pid ~after:as_of with
+    | Some f when Lsn.(f < top) -> Some f
+    | _ -> None
   in
-  walk ();
-  note pid { ops_undone = !undone; log_records_read = !reads; used_fpi }
+  let start =
+    match fpi with
+    | Some f -> (Log_manager.peek_record log f).Log_record.p_prev_page_lsn
+    | None -> top
+  in
+  let segment =
+    if Lsn.(start <= as_of) then [||]
+    else Log_manager.chain_segment log pid ~from:start ~down_to:as_of
+  in
+  { fpi; start; segment }
+
+(* Check the fetched records against the plan, then undo them.  Every
+   check runs before the first mutation: [Error lsn] names the first
+   failing LSN and leaves [page] untouched. *)
+let apply ~page ~as_of p ~fpi ~records =
+  let pid = Page.id page in
+  let seg = p.segment in
+  let n = Array.length records in
+  (* Each record belongs to this page and points at the previous segment
+     element; the oldest points at or below [as_of]. *)
+  let rec links i =
+    if i = n then None
+    else
+      match records.(i).Log_record.body with
+      | Log_record.Page_op { page = rpid; prev_page_lsn = prev; _ }
+      | Log_record.Clr { page = rpid; prev_page_lsn = prev; _ }
+        when Page_id.equal rpid pid ->
+          if (if i = 0 then Lsn.(prev <= as_of) else Lsn.equal prev seg.(i - 1)) then
+            links (i + 1)
+          else Some prev
+      | _ -> Some seg.(i)
+  in
+  (* The image must embed the capture point the segment was taken from. *)
+  let image =
+    match p.fpi with
+    | None -> Ok None
+    | Some f -> (
+        match Option.bind fpi Log_record.op_of with
+        | Some (Log_record.Full_image { image })
+          when Lsn.equal (Page.lsn (Bytes.unsafe_of_string image)) p.start ->
+            Ok (Some image)
+        | _ -> Error f)
+  in
+  match image with
+  | Error f -> Error f
+  | Ok _ when Lsn.(p.start > as_of) && (n = 0 || not (Lsn.equal seg.(n - 1) p.start)) ->
+      Error p.start
+  | Ok image -> (
+      match links 0 with
+      | Some bad -> Error bad
+      | None ->
+          Option.iter (fun img -> Bytes.blit_string img 0 page 0 Page.page_size) image;
+          (* Newest record first, as the walk applies them. *)
+          for i = n - 1 downto 0 do
+            match records.(i).Log_record.body with
+            | Log_record.Page_op { op; _ } | Log_record.Clr { op; _ } -> Log_record.undo op page
+            | _ -> assert false
+          done;
+          (* The intermediate page LSNs the walk would stamp are all
+             overwritten by the next undo's stamp; only the final one —
+             the oldest record's back pointer — is observable. *)
+          (if n > 0 then
+             match records.(0).Log_record.body with
+             | Log_record.Page_op { prev_page_lsn; _ } | Log_record.Clr { prev_page_lsn; _ } ->
+                 Page.set_lsn page prev_page_lsn
+             | _ -> assert false);
+          let used_fpi = Option.is_some image in
+          Ok { ops_undone = n; log_records_read = (n + if used_fpi then 1 else 0); used_fpi })
+
+let prepare_page_as_of ~log ~page ~as_of =
+  let pid = Page.id page in
+  let p = plan ~log ~page ~as_of in
+  let outcome =
+    match
+      let fpi = Option.map (Log_manager.read log) p.fpi in
+      (fpi, Log_manager.read_segment log p.segment)
+    with
+    | fpi, records -> apply ~page ~as_of p ~fpi ~records
+    | exception (Log_manager.No_such_record lsn | Log_manager.Log_truncated lsn) -> Error lsn
+  in
+  match outcome with Ok r -> note pid r | Error lsn -> raise (chain_error ~log pid lsn)
 
 (* ---------- staged rewind: gather / apply / publish ---------- *)
 
 (* The batch pipeline splits a rewind into a coordinator-side gather
    (all priced I/O, all shared caches), a pure worker-side apply, and a
-   coordinator-side publish.  The plan carries everything the apply
-   needs as immutable raw bytes, so it can cross domains. *)
+   coordinator-side publish.  The gathered bytes are immutable, so they
+   can cross domains. *)
 type raw_plan = {
-  rp_fpi : (Lsn.t * string) option;  (* earliest-FPI record, encoded *)
-  rp_start : Lsn.t;  (* chain top after the FPI jump (page LSN otherwise) *)
-  rp_segment : Lsn.t array;  (* ascending chain LSNs in (as_of, rp_start] *)
-  rp_records : string array;  (* encoded records parallel to [rp_segment] *)
-  rp_reads : int;  (* log records fetched: segment + FPI *)
-  rp_ok : bool;  (* gather succeeded; [false] forces the serial fallback *)
+  rp_plan : plan;
+  rp_fetched : (string option * string array, Lsn.t) Stdlib.result;
+      (* encoded FPI and segment records, or the LSN the fetch failed at *)
 }
 
 let plan_raw ~log ~page ~as_of =
-  let pid = Page.id page in
-  let top = Page.lsn page in
-  let empty ok =
-    { rp_fpi = None; rp_start = top; rp_segment = [||]; rp_records = [||]; rp_reads = 0; rp_ok = ok }
+  let p = plan ~log ~page ~as_of in
+  let all = match p.fpi with Some f -> Array.append p.segment [| f |] | None -> p.segment in
+  Log_manager.prefetch log (Array.to_list all);
+  let rp_fetched =
+    match Log_manager.read_segment_raw log all with
+    | raw -> (
+        let n = Array.length p.segment in
+        match p.fpi with None -> Ok (None, raw) | Some _ -> Ok (Some raw.(n), Array.sub raw 0 n))
+    | exception (Log_manager.No_such_record lsn | Log_manager.Log_truncated lsn) -> Error lsn
   in
-  if Lsn.(top <= as_of) then empty true
-  else
-    match
-      (* Mirror [prepare_page_as_of]: jump-start from the earliest full
-         page image after the target, then the chain-index segment from
-         the image's capture point ([prev_page_lsn]) down to [as_of]. *)
-      let fpi_lsn =
-        match Log_manager.earliest_fpi_after log pid ~after:as_of with
-        | Some f when Lsn.(f < top) -> Some f
-        | _ -> None
-      in
-      let start =
-        match fpi_lsn with
-        | Some f -> (Log_manager.peek_record log f).Log_record.p_prev_page_lsn
-        | None -> top
-      in
-      let segment =
-        if Lsn.(start <= as_of) then [||]
-        else Log_manager.chain_segment log pid ~from:start ~down_to:as_of
-      in
-      let all =
-        match fpi_lsn with Some f -> Array.append segment [| f |] | None -> segment
-      in
-      Log_manager.prefetch log (Array.to_list all);
-      let raw = Log_manager.read_segment_raw log all in
-      let n = Array.length segment in
-      let rp_fpi =
-        match fpi_lsn with Some f -> Some (f, raw.(Array.length raw - 1)) | None -> None
-      in
-      {
-        rp_fpi;
-        rp_start = start;
-        rp_segment = segment;
-        rp_records = (if fpi_lsn = None then raw else Array.sub raw 0 n);
-        rp_reads = Array.length all;
-        rp_ok = true;
-      }
-    with
-    | plan -> plan
-    | exception _ ->
-        (* Gather failures (truncated chain, missing record) are not
-           errors here: the publish stage reruns the page through the
-           serial path, which produces the right answer or the right
-           exception. *)
-        empty false
+  { rp_plan = p; rp_fetched }
 
-let apply_raw ~page ~as_of plan =
-  if not plan.rp_ok then None
-  else
-    match
-      let n = Array.length plan.rp_segment in
-      (* Decode and validate everything BEFORE mutating the page, so a
-         rejected apply leaves it untouched for the serial fallback. *)
-      let fpi =
-        match plan.rp_fpi with
-        | None -> None
-        | Some (lsn, raw) -> (
-            let r = Log_record.decode raw in
-            match Log_record.op_of r with
-            | Some (Log_record.Full_image { image }) -> Some (lsn, r, image)
-            | _ -> raise Exit)
-      in
-      (* The authoritative resume point is the LSN embedded in the image
-         (what the serial path reads after its blit); the plan's
-         peek-derived [rp_start] built the segment, so a mismatch simply
-         fails validation below. *)
-      let start =
-        match fpi with
-        | Some (_, _, image) -> Page.lsn (Bytes.of_string image)
-        | None -> Page.lsn page
-      in
-      let decoded = Array.map Log_record.decode plan.rp_records in
-      let prev_of r =
-        match r.Log_record.body with
-        | Log_record.Page_op { page = rpid; prev_page_lsn; _ }
-        | Log_record.Clr { page = rpid; prev_page_lsn; _ } ->
-            if Page_id.equal rpid (Page.id page) then Some prev_page_lsn else None
-        | _ -> None
-      in
-      let valid = ref true in
-      if Lsn.(start <= as_of) then (if n > 0 then valid := false)
-      else if n = 0 || not (Lsn.equal plan.rp_segment.(n - 1) start) then valid := false
-      else begin
-        let i = ref 0 in
-        while !valid && !i < n do
-          (match prev_of decoded.(!i) with
-          | Some prev ->
-              let want = if !i = 0 then as_of else plan.rp_segment.(!i - 1) in
-              if !i = 0 then valid := Lsn.(prev <= want) else valid := Lsn.equal prev want
-          | None -> valid := false);
-          incr i
-        done
-      end;
-      if not !valid then raise Exit;
-      (match fpi with
-      | Some (_, _, image) -> Bytes.blit_string image 0 page 0 Page.page_size
-      | None -> ());
-      for i = n - 1 downto 0 do
-        match decoded.(i).Log_record.body with
-        | Log_record.Page_op { op; _ } | Log_record.Clr { op; _ } -> Log_record.undo op page
-        | _ -> assert false
-      done;
-      if n > 0 then (
-        match prev_of decoded.(0) with
-        | Some prev -> Page.set_lsn page prev
-        | None -> assert false);
-      let feeds =
-        Array.init plan.rp_reads (fun i ->
-            if i < n then (plan.rp_segment.(i), decoded.(i))
-            else
-              match fpi with Some (lsn, r, _) -> (lsn, r) | None -> assert false)
-      in
-      ( { ops_undone = n; log_records_read = plan.rp_reads; used_fpi = fpi <> None }, feeds )
-    with
-    | v -> Some v
-    | exception _ -> None
-
-(* Batched rewind: the chain index yields the page's whole backward chain
-   in one lookup, so the records are fetched in ascending LSN order (block
-   locality) instead of pointer-chasing backwards.  Every link is validated
-   against the fetched headers before the page is mutated; any mismatch —
-   stale index, corrupt chain — falls back to the pointer walk on the
-   untouched page, which reproduces the walk's exact result and exception
-   behaviour. *)
-let prepare_page_as_of ~log ~page ~as_of =
-  let pid = Page.id page in
-  let reads = ref 0 in
-  let used_fpi = try_fpi_jump ~log ~page ~as_of ~reads in
-  let start = Page.lsn page in
-  if Lsn.(start <= as_of) then
-    note pid { ops_undone = 0; log_records_read = !reads; used_fpi }
-  else begin
-    let segment = Log_manager.chain_segment log pid ~from:start ~down_to:as_of in
-    let n = Array.length segment in
-    let fallback () =
-      (* The index does not reach the page's position (e.g. the chain left
-         the retention window) or a link failed validation: let the walk
-         produce the right answer or the right exception on the untouched
-         page. *)
-      let w = prepare_page_as_of_walk ~log ~page ~as_of in
-      { w with log_records_read = w.log_records_read + !reads; used_fpi }
-    in
-    if n = 0 || not (Lsn.equal segment.(n - 1) start) then fallback ()
-    else
-      match Log_manager.read_segment log segment with
-      | exception Log_manager.No_such_record _ -> fallback ()
-      | records ->
-          reads := !reads + n;
-          (* Validate linearity before touching the page: each record
-             belongs to this page and points at the previous segment
-             element; the oldest must point at or below [as_of]. *)
-          let prev_of r =
-            match r.Log_record.body with
-            | Log_record.Page_op { page = rpid; prev_page_lsn; _ }
-            | Log_record.Clr { page = rpid; prev_page_lsn; _ } ->
-                if Page_id.equal rpid pid then Some prev_page_lsn else None
-            | _ -> None
-          in
-          let valid = ref true in
-          let i = ref 0 in
-          while !valid && !i < n do
-            (match prev_of records.(!i) with
-            | Some prev ->
-                let want = if !i = 0 then as_of else segment.(!i - 1) in
-                if !i = 0 then valid := Lsn.(prev <= want)
-                else valid := Lsn.equal prev want
-            | None -> valid := false);
-            incr i
-          done;
-          if not !valid then fallback ()
-          else begin
-            (* Newest record first, as the walk would apply them. *)
-            for i = n - 1 downto 0 do
-              match records.(i).Log_record.body with
-              | Log_record.Page_op { op; _ } | Log_record.Clr { op; _ } ->
-                  Log_record.undo op page
-              | _ -> assert false
-            done;
-            (* The intermediate page LSNs the walk would stamp are all
-               overwritten by the next undo's stamp; only the final one —
-               the oldest record's back pointer — is observable. *)
-            (match prev_of records.(0) with
-            | Some prev -> Page.set_lsn page prev
-            | None -> assert false);
-            note pid { ops_undone = n; log_records_read = !reads; used_fpi }
-          end
-  end
+let apply_raw ~page ~as_of { rp_plan = p; rp_fetched } =
+  Result.bind rp_fetched (fun (raw_fpi, raw) ->
+      let fpi = Option.map Log_record.decode raw_fpi in
+      let records = Array.map Log_record.decode raw in
+      Result.map
+        (fun r ->
+          let feeds = Array.mapi (fun i record -> (p.segment.(i), record)) records in
+          match (p.fpi, fpi) with
+          | Some f, Some record -> (r, Array.append feeds [| (f, record) |])
+          | _ -> (r, feeds))
+        (apply ~page ~as_of p ~fpi ~records))

@@ -1,19 +1,36 @@
 (** [PreparePageAsOf] — the paper's core primitive (§4).
 
     Rewinds a single page from its current content to its state as of an
-    arbitrary LSN by walking the page's backward chain of log records
-    ([prevPageLSN]) and applying each record's undo information.  Pages are
-    rewound independently of one another, which is exactly what makes the
-    cost of an as-of query proportional to the data it touches rather than
-    to the size of the database.
+    arbitrary LSN by undoing the page's backward chain of log records
+    ([prevPageLSN]) newest first.  Pages are rewound independently of one
+    another, which is exactly what makes the cost of an as-of query
+    proportional to the data it touches rather than to the size of the
+    database.
 
-    When the log contains full-page-image records for the page (emitted
-    every Nth modification, §6.1), the walk jump-starts from the earliest
-    image after the target LSN, skipping the log region above it. *)
+    There is one algorithm, plan → validate → apply:
+    - {e plan} uses index lookups only.  When the log holds full-page-image
+      records for the page (emitted every Nth modification, §6.1), the
+      rewind jump-starts from the earliest image after the target LSN and
+      skips the log region above it; the chain segment from the image's
+      capture point (else the page LSN) down to the target comes from the
+      log manager's per-page chain index.
+    - {e validate} checks the fetched records before the page is touched:
+      the image's kind and embedded LSN, that the segment reaches the
+      chain top, that every record belongs to the page and links to the
+      previous one, and that the oldest links at or below the target.
+    - {e apply} undoes the records newest first.
+
+    The serial entry point and the staged batch differ only in how they
+    fetch the records.
+
+    Exception contract: a rewind either succeeds or raises with the page
+    bytes untouched.  The failing LSN maps to
+    {!Rw_wal.Log_manager.Log_truncated} when it lies below the retention
+    boundary and to {!Chain_broken} otherwise. *)
 
 exception Chain_broken of { page : Rw_storage.Page_id.t; lsn : Rw_storage.Lsn.t }
-(** The record found on a page chain does not belong to that page — a
-    corrupted chain. *)
+(** The page chain is corrupt at [lsn]: a record there does not belong to
+    the page, or a backward link disagrees with the chain index. *)
 
 type result = {
   ops_undone : int;  (** individual modifications undone *)
@@ -25,31 +42,26 @@ val prepare_page_as_of :
   log:Rw_wal.Log_manager.t -> page:Rw_storage.Page.t -> as_of:Rw_storage.Lsn.t -> result
 (** Rewind [page] in place so it reflects only log records with
     LSN <= [as_of].  A page whose LSN is already at or below [as_of] is
-    untouched.  Raises {!Rw_wal.Log_manager.Log_truncated} when the chain
-    leaves the retention window, {!Chain_broken} on corruption.
+    untouched.  The records are fetched through the decoded-record cache
+    (the image with {!Rw_wal.Log_manager.read}, the segment in ascending
+    LSN order with {!Rw_wal.Log_manager.read_segment}).  Raises
+    {!Rw_wal.Log_manager.Log_truncated} when the chain leaves the
+    retention window and {!Chain_broken} on corruption; in both cases
+    [page] is unchanged. *)
 
-    The chain records are located through the log manager's per-page chain
-    index and fetched in ascending LSN order; every backward link is
-    validated against the fetched headers before the page is mutated, and
-    any mismatch falls back to {!prepare_page_as_of_walk} on the untouched
-    page — the two entry points are byte-identical in effect. *)
-
-val prepare_page_as_of_walk :
-  log:Rw_wal.Log_manager.t -> page:Rw_storage.Page.t -> as_of:Rw_storage.Lsn.t -> result
-(** The record-at-a-time reference implementation: pointer-chases
-    [prevPageLSN] backwards exactly as the paper describes.  Kept public as
-    the oracle for regression tests and as the fallback path. *)
+val chain_error : log:Rw_wal.Log_manager.t -> Rw_storage.Page_id.t -> Rw_storage.Lsn.t -> exn
+(** The exception for a rewind of the page that failed at the given LSN:
+    {!Rw_wal.Log_manager.Log_truncated} below the log's first retained
+    LSN, {!Chain_broken} otherwise. *)
 
 (** {2 Staged rewind (gather / apply / publish)}
 
     The parallel batch pipeline splits {!prepare_page_as_of} into a
     coordinator-side {!plan_raw} (every priced log read, every shared
-    cache), a pure domain-safe {!apply_raw}, and a coordinator-side
-    publish that calls {!note} and re-seeds the decoded-record cache
-    with the returned decodes.  A plan that fails to gather or validate
-    makes {!apply_raw} return [None] with the page untouched; rerunning
-    the page through {!prepare_page_as_of} then reproduces the serial
-    path's exact result or exception. *)
+    cache), a pure domain-safe {!apply_raw} running the same validation
+    and undo, and a coordinator-side publish that calls {!note} and
+    re-seeds the decoded-record cache with the returned decodes — or
+    raises {!chain_error} for a rejected page. *)
 
 type raw_plan
 (** Everything one page's apply needs, as immutable raw bytes — safe to
@@ -57,27 +69,26 @@ type raw_plan
 
 val plan_raw :
   log:Rw_wal.Log_manager.t -> page:Rw_storage.Page.t -> as_of:Rw_storage.Lsn.t -> raw_plan
-(** Gather the page's undo chain as encoded bytes: the FPI jump-start
-    record (if one applies), then the chain-index segment down to
-    [as_of], prefetched and fetched through the block cache with the
-    same pricing as the serial path — but never touching the
-    decoded-record cache (see {!Rw_wal.Log_manager.read_segment_raw}).
-    Gather failures are folded into the plan, not raised. *)
+(** Gather the page's undo chain as encoded bytes: the same plan as
+    {!prepare_page_as_of}, prefetched and fetched through the block cache
+    — but never touching the decoded-record cache (see
+    {!Rw_wal.Log_manager.read_segment_raw}).  A failed fetch is recorded
+    in the plan, not raised. *)
 
 val apply_raw :
   page:Rw_storage.Page.t ->
   as_of:Rw_storage.Lsn.t ->
   raw_plan ->
-  (result * (Rw_storage.Lsn.t * Rw_wal.Log_record.t) array) option
+  (result * (Rw_storage.Lsn.t * Rw_wal.Log_record.t) array, Rw_storage.Lsn.t) Stdlib.result
 (** Decode, validate and apply the plan against [page], in place.  Pure
     CPU over private state — no I/O, no caches, no probes — so it may
-    run on any domain.  Validation happens entirely before the first
-    mutation: [None] means the plan was rejected and [page] is
-    untouched.  On success, returns the rewind {!result} plus every
-    record decoded, for the publish stage to feed back into the
-    decoded-record cache. *)
+    run on any domain.  [Error lsn] names the failing LSN (for
+    {!chain_error}) and leaves [page] untouched.  On success, returns the
+    rewind {!result} plus every record decoded, for the publish stage to
+    feed back into the decoded-record cache. *)
 
 val note : Rw_storage.Page_id.t -> result -> result
 (** Publish-stage accounting for a rewind performed via
     {!apply_raw}: bumps the [undo.*] probes and emits the trace instant
-    exactly as the serial path does internally.  Returns its argument. *)
+    exactly as {!prepare_page_as_of} does internally.  Returns its
+    argument. *)

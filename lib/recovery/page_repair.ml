@@ -26,15 +26,6 @@ module Quarantine = struct
   let count t = Hashtbl.length t
 end
 
-(* A base record fully determines the page content by redo alone: a
-   [Full_image] blits a complete image, a [Format] reinitialises the page.
-   ([Preformat]'s redo is a no-op — its image is undo information.) *)
-let is_base = function
-  | Log_record.K_page_op (Log_record.K_full_image | Log_record.K_format)
-  | Log_record.K_clr (Log_record.K_full_image | Log_record.K_format) ->
-      true
-  | _ -> false
-
 let rebuild ~log pid =
   let chain = Log_manager.chain_segment log pid ~from:(Log_manager.end_lsn log) ~down_to:Lsn.nil in
   let n = Array.length chain in
@@ -43,7 +34,7 @@ let rebuild ~log pid =
   let base = ref (-1) in
   (try
      for i = n - 1 downto 0 do
-       if is_base (Log_manager.peek_record log chain.(i)).Log_record.p_kind then begin
+       if Log_record.is_base (Log_manager.peek_record log chain.(i)).Log_record.p_kind then begin
          base := i;
          raise Exit
        end

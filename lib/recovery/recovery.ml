@@ -614,15 +614,6 @@ module Instant = struct
       t.stats.time_to_first_query_us <- t.now_us () -. t.t_start_us;
     if backlog t = 0 then mark_full_recovery t
 
-  (* A base record (Full_image, Format) fully determines the page by redo
-     alone, so replay can start at the newest one instead of the page's
-     stored LSN — capping per-page work at the FPI interval. *)
-  let is_base = function
-    | Log_record.K_page_op (Log_record.K_full_image | Log_record.K_format)
-    | Log_record.K_clr (Log_record.K_full_image | Log_record.K_format) ->
-        true
-    | _ -> false
-
   (* Redo one page in place: replay its backward chain over (page-LSN,
      horizon].  Records at or below the stored page LSN are already
      reflected in the image (redo idempotency, exactly as in the full redo
@@ -632,10 +623,13 @@ module Instant = struct
     let n = Array.length chain in
     let applied = ref 0 in
     if n > 0 then begin
+      (* Replay from the newest base record rather than the stored page
+         LSN — capping per-page work at the FPI interval. *)
       let base = ref 0 in
       (try
          for i = n - 1 downto 0 do
-           if is_base (Log_manager.peek_record t.log chain.(i)).Log_record.p_kind then begin
+           let pk = Log_manager.peek_record t.log chain.(i) in
+           if Log_record.is_base pk.Log_record.p_kind then begin
              base := i;
              raise Exit
            end

@@ -153,14 +153,6 @@ val iter_range_rev :
   t -> from:Rw_storage.Lsn.t -> upto:Rw_storage.Lsn.t -> (Rw_storage.Lsn.t -> Log_record.t -> unit) -> unit
 (** Same range, reverse order. *)
 
-val fold_range :
-  t ->
-  from:Rw_storage.Lsn.t ->
-  upto:Rw_storage.Lsn.t ->
-  init:'a ->
-  f:('a -> Rw_storage.Lsn.t -> Log_record.t -> 'a) ->
-  'a
-
 val charge_scan : t -> from:Rw_storage.Lsn.t -> upto:Rw_storage.Lsn.t -> unit
 (** Account the sequential I/O cost of scanning a log region without
     decoding it (e.g. a restore's initialization of the unused log tail). *)
@@ -228,8 +220,8 @@ val chain_segment :
     [prev_page_lsn] points at the page's previous record, this equals the
     backward pointer walk from [from] truncated at [down_to] — but is
     served from the in-memory chain index with no I/O or decode.  Callers
-    that mutate state must validate the chain links (see
-    {!Rw_core.Page_undo}) and fall back to the walk on mismatch. *)
+    that mutate state must validate the chain links against the fetched
+    records before applying them (see {!Rw_core.Page_undo}). *)
 
 val pages_changed_since : t -> since:Rw_storage.Lsn.t -> Rw_storage.Page_id.t list
 (** Pages whose newest retained chain record is strictly after [since]

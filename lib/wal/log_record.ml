@@ -376,6 +376,10 @@ let check_bytes b ~pos ~len =
 
 let is_page_kind = function K_page_op _ | K_clr _ -> true | _ -> false
 
+let is_base = function
+  | K_page_op (K_full_image | K_format) | K_clr (K_full_image | K_format) -> true
+  | _ -> false
+
 let op_name = function
   | Insert_row _ -> "insert_row"
   | Delete_row _ -> "delete_row"

@@ -151,3 +151,10 @@ val check_bytes : bytes -> pos:int -> len:int -> bool
 
 val is_page_kind : kind -> bool
 (** Whether the kind is [K_page_op] or [K_clr]. *)
+
+val is_base : kind -> bool
+(** Whether a record of this kind fully determines its page by redo
+    alone: a [Full_image] blits a complete image, a [Format]
+    reinitialises the page ([Preformat]'s redo is a no-op — its image is
+    undo information).  Redo of a page can start at its newest base
+    record. *)

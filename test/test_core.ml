@@ -147,15 +147,49 @@ let test_fpi_reduces_reads () =
   check "fewer records read with fpi" true
     (r2.Page_undo.log_records_read < r1.Page_undo.log_records_read)
 
-(* The batched rewind must be indistinguishable from the pointer walk: on
-   the same history it must produce byte-identical pages, the same result
-   counters, and — reading a cold log — the same priced I/O.  The two
-   Prng-seeded histories are identical, so each implementation gets its own
-   environment and their effects are compared directly. *)
+(* The indexed rewind must be indistinguishable from the pointer walk
+   ([Rewind_oracle]): on the same history it must produce byte-identical
+   pages, the same result counters, and — reading a cold log — the same
+   priced I/O.  The two Prng-seeded histories are identical, so each
+   implementation gets its own environment and their effects are compared
+   directly.  Besides a plain restore, the cold logs are rebuilt in ways
+   that exercise the chain index's upkeep: retention truncation mid-segment
+   (as-of points below the boundary must make both raise [Log_truncated]
+   at the same LSN), a crash that tears the tail followed by [repair_tail]
+   and re-appends, and replica shipments through [ingest_entries]. *)
 let test_batched_matches_walk () =
   let module Io_stats = Rw_storage.Io_stats in
+  let module Fault_plan = Rw_storage.Fault_plan in
+  let restore log entries = Log_manager.restore_entries log entries in
+  let rec ingest log = function
+    | [] -> ()
+    | entries ->
+        let batch = List.filteri (fun i _ -> i < 17) entries in
+        ignore (Log_manager.ingest_entries log batch : int);
+        ingest log (List.filteri (fun i _ -> i >= 17) entries)
+  in
+  (* The last [tail] records go in as unflushed appends; the crash tears
+     them, [repair_tail] cuts at the tear, and the lost suffix is appended
+     again — the same records at the same LSNs. *)
+  let torn_tail ~tail log entries =
+    let k = List.length entries - tail in
+    restore log (List.filteri (fun i _ -> i < k) entries);
+    let unflushed = List.filteri (fun i _ -> i >= k) entries in
+    let append_from entries =
+      List.iter
+        (fun (lsn, data) ->
+          if Lsn.(lsn >= Log_manager.end_lsn log) then
+            check "re-append keeps the LSN" true
+              (Lsn.equal lsn (Log_manager.append log (Log_record.decode data))))
+        entries
+    in
+    append_from unflushed;
+    Log_manager.crash log;
+    check "tail was torn" true (Log_manager.repair_tail log <> None);
+    append_from unflushed
+  in
   List.iter
-    (fun (ops, fpi_frequency) ->
+    (fun (ops, fpi_frequency, fault_plan, segment_bytes, rebuild, cut) ->
       let env1, pid1, history = random_history ?fpi_frequency ~ops () in
       let env2, pid2, _ = random_history ?fpi_frequency ~ops () in
       let current = page_image env1 pid1 in
@@ -164,8 +198,15 @@ let test_batched_matches_walk () =
          every rewind below starts cold and block charges are observable. *)
       let mk_cold src =
         let clock = Sim_clock.create () in
-        let log = Log_manager.create ~clock ~media:Media.ssd ~cache_blocks:2 () in
-        Log_manager.restore_entries log (Log_manager.dump_entries src);
+        let log =
+          Log_manager.create ~clock ~media:Media.ssd ~cache_blocks:2 ?segment_bytes
+            ?fault_plan:(Option.map (fun f -> f ()) fault_plan)
+            ()
+        in
+        rebuild log (Log_manager.dump_entries src);
+        Option.iter
+          (fun k -> Log_manager.truncate_before log (Lsn.of_int (fst (List.nth history k))))
+          cut;
         log
       in
       List.iteri
@@ -176,23 +217,66 @@ let test_batched_matches_walk () =
             let p1 = Bytes.of_string current and p2 = Bytes.of_string current in
             let s1 = Io_stats.copy (Log_manager.stats cold1) in
             let s2 = Io_stats.copy (Log_manager.stats cold2) in
-            let r1 = Page_undo.prepare_page_as_of ~log:cold1 ~page:p1 ~as_of in
-            let r2 = Page_undo.prepare_page_as_of_walk ~log:cold2 ~page:p2 ~as_of in
-            check "byte-identical page" true (Bytes.equal p1 p2);
-            check_int "same ops undone" r2.Page_undo.ops_undone r1.Page_undo.ops_undone;
-            check_int "same records read" r2.Page_undo.log_records_read
-              r1.Page_undo.log_records_read;
-            check "same fpi decision" true (r1.Page_undo.used_fpi = r2.Page_undo.used_fpi);
-            let d1 = Io_stats.diff (Log_manager.stats cold1) s1 in
-            let d2 = Io_stats.diff (Log_manager.stats cold2) s2 in
-            check_int "same cold random reads" d2.Io_stats.random_reads d1.Io_stats.random_reads;
-            check_int "same cold random bytes" d2.Io_stats.random_read_bytes
-              d1.Io_stats.random_read_bytes;
-            check_int "same sequential bytes" d2.Io_stats.seq_read_bytes
-              d1.Io_stats.seq_read_bytes
+            let run f =
+              match f () with
+              | r -> Ok r
+              | exception Log_manager.Log_truncated lsn -> Error (Lsn.to_int lsn)
+            in
+            match
+              ( run (fun () -> Page_undo.prepare_page_as_of ~log:cold1 ~page:p1 ~as_of),
+                run (fun () -> Rewind_oracle.prepare_page_as_of_walk ~log:cold2 ~page:p2 ~as_of) )
+            with
+            | Error l1, Error l2 ->
+                check "below the retention boundary" true
+                  (as_of_int < Lsn.to_int (Log_manager.first_lsn cold1));
+                check_int "same truncated LSN" l2 l1;
+                check "failed rewind leaves the page untouched" true (Bytes.to_string p1 = current)
+            | Ok r1, Ok r2 ->
+                check "byte-identical page" true (Bytes.equal p1 p2);
+                check_int "same ops undone" r2.Page_undo.ops_undone r1.Page_undo.ops_undone;
+                check_int "same records read" r2.Page_undo.log_records_read
+                  r1.Page_undo.log_records_read;
+                check "same fpi decision" true (r1.Page_undo.used_fpi = r2.Page_undo.used_fpi);
+                let d1 = Io_stats.diff (Log_manager.stats cold1) s1 in
+                let d2 = Io_stats.diff (Log_manager.stats cold2) s2 in
+                check_int "same cold random reads" d2.Io_stats.random_reads
+                  d1.Io_stats.random_reads;
+                check_int "same cold random bytes" d2.Io_stats.random_read_bytes
+                  d1.Io_stats.random_read_bytes;
+                check_int "same sequential bytes" d2.Io_stats.seq_read_bytes
+                  d1.Io_stats.seq_read_bytes
+            | _ -> Alcotest.failf "rewind to lsn %d: only one side raised Log_truncated" as_of_int
           end)
         history)
-    [ (120, None); (120, Some 15); (40, Some 4) ]
+    [
+      (120, None, None, None, restore, None);
+      (120, Some 15, None, None, restore, None);
+      (40, Some 4, None, None, restore, None);
+      (120, None, None, Some 4096, restore, Some 60);
+      (120, Some 15, None, Some 4096, restore, Some 50);
+      ( 120,
+        Some 15,
+        Some (fun () -> Fault_plan.create ~torn_log_tail_rate:1.0 ~seed:5 ()),
+        None,
+        torn_tail ~tail:30,
+        None );
+      (120, None, None, Some 4096, ingest, None);
+      (40, Some 4, None, None, ingest, None);
+    ]
+
+(* A rewind that cannot complete raises before touching the page: here the
+   chain leaves the retention window partway down. *)
+let test_failed_rewind_untouched () =
+  let env, pid, history = random_history ~ops:120 () in
+  let current = page_image env pid in
+  Log_manager.truncate_before env.log (Lsn.of_int (fst (List.nth history 59)));
+  let page = Bytes.of_string current in
+  (match
+     Page_undo.prepare_page_as_of ~log:env.log ~page ~as_of:(Lsn.of_int (fst (List.nth history 9)))
+   with
+  | _ -> Alcotest.fail "expected Log_truncated"
+  | exception Log_manager.Log_truncated _ -> ());
+  check "page bytes unchanged" true (Bytes.to_string page = current)
 
 let test_chain_broken_detection () =
   let env, pid, _ = random_history ~ops:5 () in
@@ -742,6 +826,8 @@ let () =
           Alcotest.test_case "FPIs reduce log reads" `Quick test_fpi_reduces_reads;
           Alcotest.test_case "chain corruption detected" `Quick test_chain_broken_detection;
           Alcotest.test_case "batched rewind matches walk" `Quick test_batched_matches_walk;
+          Alcotest.test_case "failed rewind leaves the page untouched" `Quick
+            test_failed_rewind_untouched;
         ] );
       ( "split_lsn",
         [
