@@ -474,7 +474,9 @@ module Micro = struct
   (* What-if selective undo at a fixed operating point: a 64-transaction
      single-table history whose first half chains through shared pages
      and whose second half writes private pages.  The graph-build row
-     prices the append-time-index path (no log scan); the replay rows
+     prices taking a dependency view (O(1) since closures are computed on
+     demand); the closure row prices the victim's closure from the
+     per-page first-writer index; the replay rows
      price the non-mutating target computation ([Selective.preview]) for
      a mid-history victim — selective replay touches only the victim's
      dependent set, the full-rewind baseline recomputes every later
@@ -528,6 +530,15 @@ module Micro = struct
            let _ctx, log, _graph, _victim = Lazy.force whatif_env in
            ignore (Rw_whatif.Dep_graph.build ~log)))
 
+  (* Unguarded: the victim's closure computed on demand from the
+     per-page first-writer index — the dependency work a REWIND
+     statement does now that no whole graph is built. *)
+  let test_dep_graph_closure =
+    Test.make ~name:"dep-graph-closure (64-txn history)"
+      (Staged.stage (fun () ->
+           let _ctx, _log, graph, victim = Lazy.force whatif_env in
+           ignore (Rw_whatif.Dep_graph.closure graph victim)))
+
   let test_selective_replay =
     Test.make ~name:"selective-replay-vs-full-rewind: selective"
       (Staged.stage (fun () ->
@@ -574,6 +585,7 @@ module Micro = struct
         test_recovery_full ~domains:4;
         test_replica_catchup;
         test_dep_graph_build;
+        test_dep_graph_closure;
         test_selective_replay;
         test_full_rewind;
         test_group_commit ~batch:1;

@@ -144,13 +144,19 @@ let sessions_live =
 
 (* What-if (selective transaction undo) *)
 
-let whatif_graph_builds =
-  counter ~unit_:"graphs" ~help:"Transaction dependency graphs built from the log"
-    "whatif.graph_builds"
+let whatif_closures =
+  counter ~unit_:"closures"
+    ~help:"Dependency closures computed from the per-page first-writer index"
+    "whatif.closures"
 
-let whatif_graph_edges =
-  counter ~unit_:"edges" ~help:"Dependency edges added across all dependency-graph builds"
-    "whatif.graph_edges"
+let whatif_closure_txns =
+  counter ~unit_:"txns" ~help:"Transactions in the dependency closures computed"
+    "whatif.closure_txns"
+
+let whatif_txn_index_rebuilds =
+  counter ~unit_:"scans"
+    ~help:"Priced log scans that rebuilt the voided transaction and per-page writer indexes"
+    "whatif.txn_index_rebuilds"
 
 let whatif_rewinds =
   counter ~unit_:"rewinds"

@@ -71,8 +71,9 @@ val sessions_live : Metrics.gauge
 
 (** {1 What-if (selective transaction undo)} *)
 
-val whatif_graph_builds : Metrics.counter
-val whatif_graph_edges : Metrics.counter
+val whatif_closures : Metrics.counter
+val whatif_closure_txns : Metrics.counter
+val whatif_txn_index_rebuilds : Metrics.counter
 val whatif_rewinds : Metrics.counter
 val whatif_pages_rewound : Metrics.counter
 val whatif_ops_replayed : Metrics.counter

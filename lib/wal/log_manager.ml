@@ -99,7 +99,7 @@ let mk_segment ~segment_bytes base =
 let tombstone = mk_segment ~segment_bytes:64 0
 
 (* Per-transaction summary accumulator for the append-time write-set
-   index (what-if dependency graphs).  Mutable builder; the public
+   index (what-if dependency closures).  Mutable builder; the public
    [txn_summary] view is assembled on query. *)
 type txn_acc = {
   a_txn : Txn_id.t;
@@ -111,9 +111,41 @@ type txn_acc = {
   mutable a_ops : int;
   mutable a_clr : bool;
   mutable a_structural : bool;
-  mutable a_writes_rev : (Page_id.t * Lsn.t) list; (* newest-first, first-write lsn per page *)
-  a_pages : (int, unit) Hashtbl.t; (* pages already in a_writes_rev: O(1) membership *)
+  mutable a_writes : writer list;
+      (* newest first: the txn's entries in the per-page first-writer
+         index, one per page it wrote *)
+  a_pages : (int, unit) Hashtbl.t; (* pages already in a_writes: O(1) membership *)
 }
+
+(* One entry of the per-page first-writer index: [w_acc]'s first write
+   to [w_page], at [w_lsn].  A page's entries form a doubly-linked list,
+   newest first, so an entry leaves in O(1) when retention truncation
+   drops its transaction. *)
+and writer = {
+  w_page : Page_id.t;
+  w_lsn : Lsn.t;
+  w_acc : txn_acc;
+  mutable w_older : writer; (* [no_writer] past the page's oldest entry *)
+  mutable w_newer : writer; (* [no_writer] before the page's newest entry *)
+}
+
+let no_acc =
+  {
+    a_txn = Txn_id.nil;
+    a_first = Lsn.nil;
+    a_last_op = Lsn.nil;
+    a_commit = Lsn.nil;
+    a_wall = 0.0;
+    a_aborted = false;
+    a_ops = 0;
+    a_clr = false;
+    a_structural = false;
+    a_writes = [];
+    a_pages = Hashtbl.create 1;
+  }
+
+let rec no_writer =
+  { w_page = Page_id.nil; w_lsn = Lsn.nil; w_acc = no_acc; w_older = no_writer; w_newer = no_writer }
 
 type t = {
   clock : Sim_clock.t;
@@ -153,9 +185,13 @@ type t = {
   txn_index : (int, txn_acc) Hashtbl.t;
       (* Append-time per-transaction write-set summaries (unmodeled
          metadata, like the decoded-record cache).  Maintained on every
-         ingestion path so dependency-graph construction never scans the
-         log; events that drop tail records void it ([txn_index_valid])
-         and the next query rebuilds it with one priced scan. *)
+         ingestion path so dependency closures never scan the log;
+         events that drop tail records void it ([txn_index_valid]) and
+         the next query rebuilds it with one priced scan. *)
+  page_writers : (int, writer) Hashtbl.t;
+      (* Per-page first-writer index: page -> its newest entry.  Rides
+         the txn index (same ingestion paths, same voiding and rebuild)
+         and is unmodeled metadata like it. *)
   mutable txn_index_valid : bool;
   mutable live : Live_txns.acc;
       (* Analysis state at [end_lsn]: the state the next anchor records.
@@ -193,6 +229,7 @@ let create ~clock ~media ?(cache_blocks = 128) ?(block_bytes = 65536)
     dropped_count = 0;
     invalidation_epoch = 0;
     txn_index = Hashtbl.create 64;
+    page_writers = Hashtbl.create 64;
     txn_index_valid = true;
     live = Live_txns.thaw Live_txns.empty;
     anchor_pos = 0;
@@ -636,6 +673,31 @@ let structural_op_kind = function
       true
   | Log_record.K_insert_row | Log_record.K_delete_row | Log_record.K_update_row -> false
 
+(* A transaction's first write to a page: push its entry on the page's
+   list.  Records arrive in LSN order on every ingestion path, so the
+   list stays newest first. *)
+let push_writer t acc page lsn =
+  let key = Page_id.to_int page in
+  let older = Option.value (Hashtbl.find_opt t.page_writers key) ~default:no_writer in
+  let w = { w_page = page; w_lsn = lsn; w_acc = acc; w_older = older; w_newer = no_writer } in
+  if older != no_writer then older.w_newer <- w;
+  Hashtbl.replace t.page_writers key w;
+  acc.a_writes <- w :: acc.a_writes
+
+let unlink_writer t w =
+  if w.w_newer == no_writer then begin
+    let key = Page_id.to_int w.w_page in
+    if w.w_older == no_writer then Hashtbl.remove t.page_writers key
+    else Hashtbl.replace t.page_writers key w.w_older
+  end
+  else w.w_newer.w_older <- w.w_older;
+  if w.w_older != no_writer then w.w_older.w_newer <- w.w_newer
+
+(* Remove a transaction from both indexes: O(pages it wrote). *)
+let drop_acc t acc =
+  Hashtbl.remove t.txn_index (Txn_id.to_int acc.a_txn);
+  List.iter (unlink_writer t) acc.a_writes
+
 let note_record t lsn pk ~record =
   let txn = pk.Log_record.p_txn in
   if not (Txn_id.is_nil txn) then begin
@@ -643,6 +705,13 @@ let note_record t lsn pk ~record =
     let acc =
       match Hashtbl.find_opt t.txn_index key with
       | Some a -> a
+      | None when not (Lsn.is_nil pk.Log_record.p_prev_txn_lsn) ->
+          (* The transaction's earlier records are not indexed: its
+             history crosses the retention boundary (it began below the
+             first retained record, or [truncate_before] pruned it).  It
+             cannot be summarized whole, so it stays out — the one
+             straddler rule for every ingestion path and the rebuild. *)
+          no_acc
       | None ->
           let a =
             {
@@ -655,32 +724,33 @@ let note_record t lsn pk ~record =
               a_ops = 0;
               a_clr = false;
               a_structural = false;
-              a_writes_rev = [];
+              a_writes = [];
               a_pages = Hashtbl.create 8;
             }
           in
           Hashtbl.replace t.txn_index key a;
           a
     in
-    match pk.Log_record.p_kind with
-    | Log_record.K_commit ->
-        acc.a_commit <- lsn;
-        acc.a_wall <- wall_of record
-    | Log_record.K_abort -> acc.a_aborted <- true
-    | Log_record.K_page_op k | Log_record.K_clr k ->
-        acc.a_last_op <- lsn;
-        acc.a_ops <- acc.a_ops + 1;
-        (match pk.Log_record.p_kind with
-        | Log_record.K_clr _ -> acc.a_clr <- true
-        | _ -> ());
-        if structural_op_kind k then acc.a_structural <- true;
-        let page = pk.Log_record.p_page in
-        let pkey = Page_id.to_int page in
-        if not (Hashtbl.mem acc.a_pages pkey) then begin
-          Hashtbl.replace acc.a_pages pkey ();
-          acc.a_writes_rev <- (page, lsn) :: acc.a_writes_rev
-        end
-    | Log_record.K_begin | Log_record.K_end | Log_record.K_checkpoint -> ()
+    if acc != no_acc then
+      match pk.Log_record.p_kind with
+      | Log_record.K_commit ->
+          acc.a_commit <- lsn;
+          acc.a_wall <- wall_of record
+      | Log_record.K_abort -> acc.a_aborted <- true
+      | Log_record.K_page_op k | Log_record.K_clr k ->
+          acc.a_last_op <- lsn;
+          acc.a_ops <- acc.a_ops + 1;
+          (match pk.Log_record.p_kind with
+          | Log_record.K_clr _ -> acc.a_clr <- true
+          | _ -> ());
+          if structural_op_kind k then acc.a_structural <- true;
+          let page = pk.Log_record.p_page in
+          let pkey = Page_id.to_int page in
+          if not (Hashtbl.mem acc.a_pages pkey) then begin
+            Hashtbl.replace acc.a_pages pkey ();
+            push_writer t acc page lsn
+          end
+      | Log_record.K_begin | Log_record.K_end | Log_record.K_checkpoint -> ()
   end
 
 (* Tail records were dropped (crash, torn-tail repair, replication
@@ -689,6 +759,7 @@ let note_record t lsn pk ~record =
    priced scan of the retained log. *)
 let void_txn_index t =
   Hashtbl.reset t.txn_index;
+  Hashtbl.reset t.page_writers;
   t.txn_index_valid <- false
 
 (* ---------- append path ---------- *)
@@ -1336,13 +1407,14 @@ let truncate_before t lsn =
     end;
     t.invalidation_epoch <- t.invalidation_epoch + 1;
     (* Txn summaries whose first record fell below the boundary can no
-       longer be rewound or replayed; drop them wholesale. *)
+       longer be rewound or replayed; drop them wholesale, and their
+       per-page entries through their own write sets. *)
     let dead =
       Hashtbl.fold
-        (fun key acc dead -> if Lsn.(acc.a_first < lsn) then key :: dead else dead)
+        (fun _ acc dead -> if Lsn.(acc.a_first < lsn) then acc :: dead else dead)
         t.txn_index []
     in
-    List.iter (Hashtbl.remove t.txn_index) dead;
+    List.iter (drop_acc t) dead;
     update_resident_gauge t
   end
 
@@ -1676,56 +1748,46 @@ type txn_summary = {
 let txn_index_live t = t.txn_index_valid
 
 let rebuild_txn_index t =
-  Hashtbl.reset t.txn_index;
-  t.txn_index_valid <- false;
-  (* A transaction whose first retained record carries a non-nil backward
-     pointer continues below the retention boundary: its truncated prefix
-     would leave the rebuilt summary's write set understated, so such
-     accumulators are dropped after the scan — the same rule
-     [truncate_before] applies incrementally (a_first < boundary). *)
-  let straddlers = Hashtbl.create 8 in
+  void_txn_index t;
+  Obs.incr Probes.whatif_txn_index_rebuilds;
+  (* [note_record]'s straddler rule leaves out every transaction whose
+     first retained record points further back, exactly as the
+     incremental paths do after [truncate_before]. *)
   (try
      iter_range_peek t ~from:t.truncated_below ~upto:t.end_lsn (fun lsn pk decode ->
-         let txn = pk.Log_record.p_txn in
-         if
-           (not (Txn_id.is_nil txn))
-           && (not (Hashtbl.mem t.txn_index (Txn_id.to_int txn)))
-           && not (Lsn.is_nil pk.Log_record.p_prev_txn_lsn)
-         then Hashtbl.replace straddlers (Txn_id.to_int txn) ();
          note_record t lsn pk ~record:(lazy (decode ())))
    with e ->
      (* A failed scan must not leave a half-populated index serving
         queries: stay void, the next query retries the rebuild. *)
-     Hashtbl.reset t.txn_index;
+     void_txn_index t;
      raise e);
-  Hashtbl.iter (fun key () -> Hashtbl.remove t.txn_index key) straddlers;
   t.txn_index_valid <- true
 
+let ensure_txn_index t = if not t.txn_index_valid then rebuild_txn_index t
+let committed a = (not (Lsn.is_nil a.a_commit)) && not a.a_aborted
+
+let summary_of_acc a =
+  {
+    ts_txn = a.a_txn;
+    ts_first_lsn = a.a_first;
+    ts_last_lsn = a.a_last_op;
+    ts_commit_lsn = a.a_commit;
+    ts_commit_wall_us = a.a_wall;
+    ts_ops = a.a_ops;
+    ts_has_clr = a.a_clr;
+    ts_structural = a.a_structural;
+    ts_writes = List.rev_map (fun w -> (w.w_page, w.w_lsn)) a.a_writes;
+  }
+
 let txn_summaries t =
-  if not t.txn_index_valid then rebuild_txn_index t;
-  Hashtbl.fold
-    (fun _ a acc ->
-      if (not (Lsn.is_nil a.a_commit)) && not a.a_aborted then
-        {
-          ts_txn = a.a_txn;
-          ts_first_lsn = a.a_first;
-          ts_last_lsn = a.a_last_op;
-          ts_commit_lsn = a.a_commit;
-          ts_commit_wall_us = a.a_wall;
-          ts_ops = a.a_ops;
-          ts_has_clr = a.a_clr;
-          ts_structural = a.a_structural;
-          ts_writes = List.rev a.a_writes_rev;
-        }
-        :: acc
-      else acc)
-    t.txn_index []
+  ensure_txn_index t;
+  Hashtbl.fold (fun _ a acc -> if committed a then summary_of_acc a :: acc else acc) t.txn_index []
   |> List.sort (fun x y -> Lsn.compare x.ts_commit_lsn y.ts_commit_lsn)
 
 let txn_resolution t txn =
   if Txn_id.is_nil txn then `Unknown
   else begin
-    if not t.txn_index_valid then rebuild_txn_index t;
+    ensure_txn_index t;
     match Hashtbl.find_opt t.txn_index (Txn_id.to_int txn) with
     | None -> `Unknown
     | Some a ->
@@ -1735,19 +1797,23 @@ let txn_resolution t txn =
   end
 
 let txn_summary t txn =
-  if not t.txn_index_valid then rebuild_txn_index t;
+  ensure_txn_index t;
   match Hashtbl.find_opt t.txn_index (Txn_id.to_int txn) with
-  | Some a when (not (Lsn.is_nil a.a_commit)) && not a.a_aborted ->
-      Some
-        {
-          ts_txn = a.a_txn;
-          ts_first_lsn = a.a_first;
-          ts_last_lsn = a.a_last_op;
-          ts_commit_lsn = a.a_commit;
-          ts_commit_wall_us = a.a_wall;
-          ts_ops = a.a_ops;
-          ts_has_clr = a.a_clr;
-          ts_structural = a.a_structural;
-          ts_writes = List.rev a.a_writes_rev;
-        }
+  | Some a when committed a -> Some (summary_of_acc a)
   | _ -> None
+
+let page_writers t page ~above =
+  ensure_txn_index t;
+  (* Newest first down to [above]: the walk touches only the entries
+     above it, and consing reverses them into ascending order. *)
+  let rec walk w acc =
+    if w == no_writer || Lsn.(w.w_lsn <= above) then acc
+    else walk w.w_older (if committed w.w_acc then (w.w_lsn, w.w_acc.a_txn) :: acc else acc)
+  in
+  match Hashtbl.find_opt t.page_writers (Page_id.to_int page) with
+  | Some newest -> walk newest []
+  | None -> []
+
+let written_pages t =
+  ensure_txn_index t;
+  Hashtbl.fold (fun _ w acc -> w.w_page :: acc) t.page_writers []

@@ -374,21 +374,28 @@ val truncate_from : t -> Rw_storage.Lsn.t -> int
     append time}, from the same header peek that feeds the page-chain
     index: which pages each transaction wrote (with the LSN of its first
     write to each), how many page operations it logged, whether it
-    committed and when.  What-if dependency graphs
-    ([Rw_whatif.Dep_graph]) are built from these summaries in O(live
-    transactions) with no log scan and no payload decode.
+    committed and when.  Beside it sits the {e per-page first-writer
+    index}: for each page, the (first-write LSN, transaction) entries of
+    the transactions that wrote it, newest first.  What-if dependency
+    closures ([Rw_whatif.Dep_graph]) are computed from the two on
+    demand, with no log scan, no payload decode and no pass over
+    unrelated history.
 
-    The index rides every ingestion path (append, restore, replication
-    ingest).  Retention truncation prunes summaries whose first record
-    fell below the boundary; events that drop tail records — {!crash},
-    {!repair_tail}, {!truncate_from} — void the index, and the next
-    query transparently rebuilds it with one priced sequential scan of
-    the retained log ({!txn_index_live} reports which regime the index
-    is in).  The rebuild applies the same boundary rule: a transaction
-    whose first retained record points further back (its chain crosses
-    the retention boundary) is excluded rather than resurfaced with an
-    understated write set.  Like the decoded-record cache, the index is unmodeled
-    metadata: it has no simulated-RAM footprint. *)
+    Both indexes ride every ingestion path (append, restore, replication
+    ingest) and share one lifecycle.  Retention truncation drops the
+    summaries whose first record fell below the boundary and unlinks
+    their page entries through their own write sets (O(dropped
+    writes)); events that drop tail records — {!crash}, {!repair_tail},
+    {!truncate_from} — void both, and the next query transparently
+    rebuilds them with one priced sequential scan of the retained log
+    ({!txn_index_live} reports which regime the index is in;
+    [whatif.txn_index_rebuilds] counts the scans).  Every path applies
+    one boundary rule: a transaction whose first indexed record points
+    further back (its chain crosses the retention boundary, or
+    truncation pruned it while it was still open) is left out, page
+    entries included, rather than surfaced with an understated write
+    set.  Like the decoded-record cache, the indexes are unmodeled
+    metadata: they have no simulated-RAM footprint. *)
 
 type txn_summary = {
   ts_txn : Txn_id.t;
@@ -422,6 +429,17 @@ val txn_resolution : t -> Txn_id.t -> [ `Committed | `Aborted | `Active | `Unkno
     because its history crosses the retention boundary.  Selective undo
     validation consults this to refuse rewinds that would silently erase
     an open transaction's writes. *)
+
+val page_writers : t -> Rw_storage.Page_id.t -> above:Rw_storage.Lsn.t -> (Rw_storage.Lsn.t * Txn_id.t) list
+(** [page_writers t page ~above] is the committed, non-aborted
+    transactions whose first write to [page] lies above [above], each
+    with that first-write LSN, ascending by it.  Cost: the page's index
+    entries above [above] (in-flight and aborted writers are stepped
+    over, not reported); nothing older is touched. *)
+
+val written_pages : t -> Rw_storage.Page_id.t list
+(** Every page with an entry in the per-page first-writer index, in no
+    particular order. *)
 
 val txn_index_live : t -> bool
 (** [true] while summaries are served from the append-time index;

@@ -1,23 +1,26 @@
-(* Transaction dependency graph over the committed history.
+(* Transaction dependency view over the committed history.
 
    Nodes are the committed, non-aborted transactions retained in the
-   log; edges follow the page-granularity dependency rule: on each page,
-   consecutive distinct writers (in first-write LSN order) are linked
-   earlier -> later.  Because our write sets are page-granular — the
-   finest unit the physiological log records without payload
-   interpretation — a reader that only {e read} a page some earlier
-   transaction wrote is already covered: any write it performed lands on
-   some page and is ordered there.  The cost is conservatism: two
-   transactions that touched disjoint rows of the same page are declared
-   dependent.  (docs/WHATIF.md discusses the exactness caveats,
-   including phantom/predicate reads, which page-granularity likewise
+   log; the dependency rule is page-granular: on each page, consecutive
+   distinct writers (in first-write LSN order) are linked earlier ->
+   later.  Because our write sets are page-granular — the finest unit
+   the physiological log records without payload interpretation — a
+   reader that only {e read} a page some earlier transaction wrote is
+   already covered: any write it performed lands on some page and is
+   ordered there.  The cost is conservatism: two transactions that
+   touched disjoint rows of the same page are declared dependent.
+   (docs/WHATIF.md discusses the exactness caveats, including
+   phantom/predicate reads, which page-granularity likewise
    over-approximates safely.)
 
-   The graph is built from {!Log_manager.txn_summaries}, the
-   append-time write-set index — O(live transactions + write-set size),
-   no log scan, no payload decode — unless a tail-dropping event voided
-   the index, in which case the summaries call transparently rebuilds it
-   with one priced scan first ({!built_from_index} reports which). *)
+   No graph is materialized.  A handle answers each query from the log's
+   append-time indexes: [find] from the per-transaction summaries,
+   [closure] and [dependents] from the per-page first-writer index
+   ({!Log_manager.page_writers}).  Because the graph links consecutive
+   writers of each page, the set reachable from a transaction is exactly
+   the least set that contains it and every later writer of every page a
+   member wrote — a worklist over the members' own pages, which never
+   touches unrelated history. *)
 
 module Lsn = Rw_storage.Lsn
 module Page_id = Rw_storage.Page_id
@@ -25,6 +28,7 @@ module Txn_id = Rw_wal.Txn_id
 module Log_manager = Rw_wal.Log_manager
 module Obs = Rw_obs.Metrics
 module Probes = Rw_obs.Probes
+module Trace = Rw_obs.Trace
 
 type node = {
   txn : Txn_id.t;
@@ -38,13 +42,7 @@ type node = {
   writes : (Page_id.t * Lsn.t) list;
 }
 
-type t = {
-  nodes : node array; (* ascending by commit LSN *)
-  by_txn : (int, int) Hashtbl.t; (* txn id -> index into [nodes] *)
-  succ : int list array; (* direct dependents, ascending index *)
-  edge_count : int;
-  from_index : bool;
-}
+type t = { log : Log_manager.t; from_index : bool }
 
 let node_of_summary (s : Log_manager.txn_summary) =
   {
@@ -59,103 +57,101 @@ let node_of_summary (s : Log_manager.txn_summary) =
     writes = s.ts_writes;
   }
 
-let build ~log =
-  let from_index = Log_manager.txn_index_live log in
-  let nodes =
-    Array.of_list (List.map node_of_summary (Log_manager.txn_summaries log))
-  in
-  let n = Array.length nodes in
-  let by_txn = Hashtbl.create (2 * max 1 n) in
-  Array.iteri (fun i nd -> Hashtbl.replace by_txn (Txn_id.to_int nd.txn) i) nodes;
-  (* Per page, the (first-write LSN, writer index) pairs. *)
-  let page_writers : (int64, (Lsn.t * int) list ref) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  Array.iteri
-    (fun i nd ->
-      List.iter
-        (fun (page, lsn) ->
-          let key = Page_id.to_int64 page in
-          let cell =
-            match Hashtbl.find_opt page_writers key with
-            | Some c -> c
-            | None ->
-                let c = ref [] in
-                Hashtbl.add page_writers key c;
-                c
-          in
-          cell := (lsn, i) :: !cell)
-        nd.writes)
-    nodes;
-  let succ = Array.make n [] in
-  let edge_seen : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
-  let edge_count = ref 0 in
-  let add_edge i j =
-    if i <> j && not (Hashtbl.mem edge_seen (i, j)) then begin
-      Hashtbl.add edge_seen (i, j) ();
-      succ.(i) <- j :: succ.(i);
-      incr edge_count
-    end
-  in
-  Hashtbl.iter
-    (fun _page cell ->
-      let writers =
-        List.sort (fun (a, _) (b, _) -> Lsn.compare a b) !cell
-      in
+let build ~log = { log; from_index = Log_manager.txn_index_live log }
+let built_from_index t = t.from_index
+let nodes t = List.map node_of_summary (Log_manager.txn_summaries t.log)
+let node_count t = List.length (Log_manager.txn_summaries t.log)
+let find t txn = Option.map node_of_summary (Log_manager.txn_summary t.log txn)
+let by_commit nodes = List.sort (fun a b -> Lsn.compare a.commit_lsn b.commit_lsn) nodes
+
+(* One pass over the per-page index: consecutive committed writers of a
+   page are an edge; a pair linked on several pages counts once. *)
+let edge_count t =
+  let seen = Hashtbl.create 256 in
+  List.iter
+    (fun page ->
       let rec link = function
-        | (_, i) :: ((_, j) :: _ as rest) ->
-            add_edge i j;
+        | (_, a) :: ((_, b) :: _ as rest) ->
+            Hashtbl.replace seen (Txn_id.to_int a, Txn_id.to_int b) ();
             link rest
         | [ _ ] | [] -> ()
       in
-      link writers)
-    page_writers;
-  Array.iteri (fun i l -> succ.(i) <- List.sort_uniq compare l) succ;
-  Obs.incr Probes.whatif_graph_builds;
-  Obs.add Probes.whatif_graph_edges !edge_count;
-  { nodes; by_txn; succ; edge_count = !edge_count; from_index }
-
-let node_count t = Array.length t.nodes
-let edge_count t = t.edge_count
-let built_from_index t = t.from_index
-let nodes t = Array.to_list t.nodes
-
-let find t txn =
-  match Hashtbl.find_opt t.by_txn (Txn_id.to_int txn) with
-  | Some i -> Some t.nodes.(i)
-  | None -> None
+      link (Log_manager.page_writers t.log page ~above:Lsn.nil))
+    (Log_manager.written_pages t.log);
+  Hashtbl.length seen
 
 let dependents t txn =
-  match Hashtbl.find_opt t.by_txn (Txn_id.to_int txn) with
+  match find t txn with
   | None -> []
-  | Some i -> List.map (fun j -> t.nodes.(j)) t.succ.(i)
+  | Some n ->
+      List.filter_map
+        (fun (page, lsn) ->
+          match Log_manager.page_writers t.log page ~above:lsn with
+          | (_, next) :: _ -> Some (Txn_id.to_int next)
+          | [] -> None)
+        n.writes
+      |> List.sort_uniq Int.compare
+      |> List.filter_map (fun id -> find t (Txn_id.of_int id))
+      |> by_commit
 
 let closure t txn =
-  match Hashtbl.find_opt t.by_txn (Txn_id.to_int txn) with
+  match find t txn with
   | None -> []
   | Some root ->
-      let in_closure = Array.make (Array.length t.nodes) false in
-      let rec visit i =
-        if not in_closure.(i) then begin
-          in_closure.(i) <- true;
-          List.iter visit t.succ.(i)
-        end
+      let ts = if Trace.on () then Trace.now () else 0.0 in
+      let members = Hashtbl.create 16 in
+      Hashtbl.replace members (Txn_id.to_int txn) root;
+      (* Per page, the lowest first-write LSN scanned from: every writer
+         above it is already a member, so a later member's write there
+         adds nothing. *)
+      let scanned = Hashtbl.create 16 in
+      let entries = ref 0 in
+      let rec work = function
+        | [] -> ()
+        | (n : node) :: rest ->
+            let found =
+              List.fold_left
+                (fun found (page, lsn) ->
+                  let key = Page_id.to_int page in
+                  match Hashtbl.find_opt scanned key with
+                  | Some low when Lsn.(low <= lsn) -> found
+                  | _ ->
+                      Hashtbl.replace scanned key lsn;
+                      List.fold_left
+                        (fun found (_, w) ->
+                          incr entries;
+                          let id = Txn_id.to_int w in
+                          if Hashtbl.mem members id then found
+                          else
+                            match find t w with
+                            | Some m ->
+                                Hashtbl.replace members id m;
+                                m :: found
+                            | None -> found)
+                        found
+                        (Log_manager.page_writers t.log page ~above:lsn))
+                rest n.writes
+            in
+            work found
       in
-      visit root;
-      (* Nodes are stored ascending by commit LSN, so a left-to-right
-         sweep yields the closure in serialization order. *)
-      let acc = ref [] in
-      for i = Array.length t.nodes - 1 downto 0 do
-        if in_closure.(i) then acc := t.nodes.(i) :: !acc
-      done;
-      !acc
+      work [ root ];
+      let result = by_commit (Hashtbl.fold (fun _ n acc -> n :: acc) members []) in
+      let size = List.length result in
+      Obs.incr Probes.whatif_closures;
+      Obs.add Probes.whatif_closure_txns size;
+      if Trace.on () then
+        Trace.complete ~cat:"whatif" ~ts
+          ~args:
+            [
+              ("txn", Trace.Int (Txn_id.to_int txn));
+              ("txns", Trace.Int size);
+              ("pages", Trace.Int (Hashtbl.length scanned));
+              ("entries", Trace.Int !entries);
+            ]
+          "whatif.closure";
+      result
 
 let successors t txn =
-  match Hashtbl.find_opt t.by_txn (Txn_id.to_int txn) with
+  match find t txn with
   | None -> []
-  | Some root ->
-      let acc = ref [] in
-      for i = Array.length t.nodes - 1 downto root do
-        acc := t.nodes.(i) :: !acc
-      done;
-      !acc
+  | Some root -> List.filter (fun n -> Lsn.(n.commit_lsn >= root.commit_lsn)) (nodes t)

@@ -52,6 +52,7 @@ module Database = Rw_engine.Database
 module Engine = Rw_engine.Engine
 module Obs = Rw_obs.Metrics
 module Probes = Rw_obs.Probes
+module Trace = Rw_obs.Trace
 
 type scope = Dependents | All_successors
 
@@ -127,9 +128,9 @@ let straddles_cut ~log ~page ~cut ~from_lsn =
    outright, because the page rewind would erase its writes and nothing
    ever replays them.  So is any transaction whose history crosses the
    retention boundary: it can neither be replayed nor proven net-nil. *)
-let validate ~log ~graph ~removed ~cuts =
+let validate ~log ~removed ~cuts =
   let is_removed = in_set removed in
-  let widen = ref [] in
+  let widen = Hashtbl.create 8 in
   let conflicts = ref [] in
   List.iter
     (fun (page, cut) ->
@@ -138,38 +139,28 @@ let validate ~log ~graph ~removed ~cuts =
       in
       Array.iter
         (fun lsn ->
-          let pk = Log_manager.peek_record log lsn in
-          let txn = pk.Log_record.p_txn in
-          if Txn_id.is_nil txn || is_removed txn then ()
+          let txn = (Log_manager.peek_record log lsn).Log_record.p_txn in
+          if Txn_id.is_nil txn || is_removed txn || Hashtbl.mem widen (Txn_id.to_int txn) then ()
           else
-            match Dep_graph.find graph txn with
-            | Some node ->
-                if not (List.exists (fun (n : Dep_graph.node) -> Txn_id.equal n.txn txn) !widen)
-                then widen := node :: !widen
-            | None -> (
-                let conflict reason = conflicts := { page; lsn; reason } :: !conflicts in
-                match Log_manager.txn_resolution log txn with
-                | `Active ->
-                    conflict "an in-flight transaction writes above the rewind cut"
-                | `Committed ->
-                    conflict
-                      "a transaction committed after the dependency graph was built; retry"
-                | `Unknown ->
-                    conflict
-                      "a transaction straddling the log retention boundary writes above the \
-                       rewind cut"
-                | `Aborted -> (
-                    match straddles_cut ~log ~page ~cut ~from_lsn:lsn with
-                    | true -> conflict "aborted transaction straddles the rewind cut"
-                    | false -> ()
-                    | exception Log_manager.Log_truncated _ ->
-                        conflict
-                          "aborted transaction's history crosses the log retention boundary")))
+            let conflict reason = conflicts := { page; lsn; reason } :: !conflicts in
+            match Log_manager.txn_resolution log txn with
+            | `Committed -> Hashtbl.replace widen (Txn_id.to_int txn) txn
+            | `Active -> conflict "an in-flight transaction writes above the rewind cut"
+            | `Unknown ->
+                conflict
+                  "a transaction straddling the log retention boundary writes above the rewind \
+                   cut"
+            | `Aborted -> (
+                match straddles_cut ~log ~page ~cut ~from_lsn:lsn with
+                | true -> conflict "aborted transaction straddles the rewind cut"
+                | false -> ()
+                | exception Log_manager.Log_truncated _ ->
+                    conflict "aborted transaction's history crosses the log retention boundary"))
         lsns)
     cuts;
-  (!widen, List.rev !conflicts)
+  (Hashtbl.fold (fun _ txn acc -> txn :: acc) widen [], List.rev !conflicts)
 
-let make_plan ~log ~graph ~victim ~scope =
+let settle_plan ~log ~graph ~victim ~scope =
   let victim_node =
     match Dep_graph.find graph victim with
     | Some n -> n
@@ -183,13 +174,11 @@ let make_plan ~log ~graph ~victim ~scope =
   (* Fixpoint: fold committed outsiders writing above a cut into D. *)
   let rec settle removed =
     let cuts = cuts_of removed in
-    let widen, conflicts = validate ~log ~graph ~removed ~cuts in
+    let widen, conflicts = validate ~log ~removed ~cuts in
     if conflicts <> [] then Error conflicts
     else if widen = [] then Ok (removed, cuts)
     else
-      let extra =
-        List.concat_map (fun (n : Dep_graph.node) -> Dep_graph.closure graph n.txn) widen
-      in
+      let extra = List.concat_map (Dep_graph.closure graph) widen in
       let is_old = in_set removed in
       let fresh =
         List.filter (fun (n : Dep_graph.node) -> not (is_old n.txn)) extra
@@ -239,6 +228,26 @@ let make_plan ~log ~graph ~victim ~scope =
             removed
         in
         Ok { victim = victim_node; removed; replay; cuts }
+
+let make_plan ~log ~graph ~victim ~scope =
+  let ts = if Trace.on () then Trace.now () else 0.0 in
+  let plan = settle_plan ~log ~graph ~victim ~scope in
+  (if Trace.on () then
+     let txns, pages, conflicts =
+       match plan with
+       | Ok p -> (List.length p.removed, List.length p.cuts, 0)
+       | Error cs -> (0, 0, List.length cs)
+     in
+     Trace.complete ~cat:"whatif" ~ts
+       ~args:
+         [
+           ("victim", Trace.Int (Txn_id.to_int victim));
+           ("txns", Trace.Int txns);
+           ("pages", Trace.Int pages);
+           ("conflicts", Trace.Int conflicts);
+         ]
+       "whatif.plan");
+  plan
 
 (* ---------------------------------------------------------------- *)
 (* Replay: target images on scratch copies.                         *)
@@ -300,6 +309,7 @@ type targets = {
 }
 
 let compute_targets ~ctx ~log (plan : plan) =
+  let ts = if Trace.on () then Trace.now () else 0.0 in
   let copies : (int64, Page.t) Hashtbl.t = Hashtbl.create 16 in
   let ops_unwound = ref 0 in
   let conflicts = ref [] in
@@ -353,6 +363,16 @@ let compute_targets ~ctx ~log (plan : plan) =
             | Ok () -> incr ops_replayed
             | Error c -> conflicts := c :: !conflicts)
       ops;
+  if Trace.on () then
+    Trace.complete ~cat:"whatif" ~ts
+      ~args:
+        [
+          ("pages", Trace.Int (List.length plan.cuts));
+          ("ops_unwound", Trace.Int !ops_unwound);
+          ("ops_replayed", Trace.Int !ops_replayed);
+          ("conflicts", Trace.Int (List.length !conflicts));
+        ]
+      "whatif.replay";
   match !conflicts with
   | _ :: _ as cs -> Error (List.rev cs)
   | [] ->
@@ -372,6 +392,13 @@ let compute_targets ~ctx ~log (plan : plan) =
               ops_replayed = !ops_replayed;
             };
         }
+
+(* Close the [whatif.publish] span a publication opened at [ts]. *)
+let published ~mode ~ts (targets : targets) =
+  if Trace.on () then
+    Trace.complete ~cat:"whatif" ~ts
+      ~args:[ ("mode", Trace.Str mode); ("pages", Trace.Int (List.length targets.images)) ]
+      "whatif.publish"
 
 let record_stats (s : stats) =
   Obs.incr Probes.whatif_rewinds;
@@ -451,6 +478,7 @@ let repair ~ctx ~log ~graph ~victim ?(scope = Dependents) ~wall_us ?on_progress 
   match prepare ~ctx ~log ~graph ~victim ~scope with
   | Error _ as e -> e
   | Ok (_plan, targets) ->
+      let ts = if Trace.on () then Trace.now () else 0.0 in
       let txns = Access_ctx.txns ctx in
       let txn = Txn_manager.begin_txn txns in
       List.iteri
@@ -462,6 +490,7 @@ let repair ~ctx ~log ~graph ~victim ?(scope = Dependents) ~wall_us ?on_progress 
       ignore (Txn_manager.commit_begin txns txn ~wall_us);
       ignore (Txn_manager.flush_commits txns);
       Txn_manager.finished txns txn;
+      published ~mode:"repair" ~ts targets;
       record_stats targets.t_stats;
       Ok targets.t_stats
 
@@ -474,6 +503,7 @@ let what_if_view ~engine ~db ~graph ~victim ?(scope = Dependents) ~name () =
   match prepare ~ctx ~log ~graph ~victim ~scope with
   | Error _ as e -> e
   | Ok (_plan, targets) ->
+      let ts = if Trace.on () then Trace.now () else 0.0 in
       let side =
         Sparse_file.create ~clock:(Database.clock db) ~media:(Database.media db) ()
       in
@@ -493,5 +523,6 @@ let what_if_view ~engine ~db ~graph ~victim ?(scope = Dependents) ~name () =
       let pool = Buffer_pool.create ~capacity:64 ~source () in
       let view = Database.view_over_pool ~name ~base:db ~pool ~snapshot:None in
       let view = Engine.attach_database engine view in
+      published ~mode:"view" ~ts targets;
       record_stats targets.t_stats;
       Ok (view, targets.t_stats)
